@@ -38,7 +38,8 @@ from repro import (
     star_graph,
 )
 from repro.counting import run_sweep_counting
-from repro.sim import EventTrace
+from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
+from repro.sim import EventTrace, Node, SynchronousNetwork, TargetedDelay, UniformDelay
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -134,6 +135,60 @@ def _case_arrow_perfetto() -> Any:
     return _canonical(chrome_trace(tr, label="arrow path-8"))
 
 
+def _case_uniform_delay() -> Any:
+    """Random (seeded) link delays: ready-heap ordering and the idle-round
+    jumps that unit delay never takes."""
+    tr = EventTrace()
+    r = run_flood_counting(
+        path_graph(6), range(6), delay_model=UniformDelay(1, 5, seed=11), trace=tr
+    )
+    return _doc(tr, r.stats, counts=sorted(r.counts.items()), delays=sorted(r.delays.items()))
+
+
+def _case_targeted_delay() -> Any:
+    tr = EventTrace()
+    r = run_central_counting(
+        star_graph(6), range(6),
+        delay_model=TargetedDelay(slow_links=frozenset({(1, 0)}), slow=7),
+        trace=tr,
+    )
+    return _doc(tr, r.stats, counts=sorted(r.counts.items()), delays=sorted(r.delays.items()))
+
+
+def _case_faults() -> Any:
+    """Drops, duplicates and a crash window of the path's middle node: pins
+    the RNG-draw and injection order and every cross-crash exchange."""
+    tr = EventTrace()
+    plan = FaultPlan(
+        seed=0,
+        drop_rate=0.2,
+        duplicate_rate=0.1,
+        max_consecutive_drops=2,
+        crashes=(NodeCrash(node=2, start=3, end=7),),
+    )
+    r = run_flood_counting_ft(path_graph(5), range(5), plan, trace=tr)
+    return _doc(tr, r.stats, counts=sorted(r.counts.items()), delays=sorted(r.delays.items()))
+
+
+class _Pinger(Node):
+    """Wakes at a far-off round fixed by its id and pings a neighbor."""
+
+    def on_start(self, ctx):
+        ctx.schedule_wakeup(100 * (self.node_id + 1))
+
+    def on_wake(self, ctx):
+        ctx.send(ctx.neighbors[0], "ping")
+
+
+def _case_wakeup_jumps() -> Any:
+    """Staggered far-apart wakeups on an otherwise idle network drive the
+    next-event heap's round jumps."""
+    tr = EventTrace()
+    net = SynchronousNetwork(path_graph(6), {v: _Pinger(v) for v in range(6)}, trace=tr)
+    net.run()
+    return _doc(tr, net.stats)
+
+
 CASES = {
     "arrow": _case_arrow,
     "central_counting": _case_central_counting,
@@ -144,6 +199,10 @@ CASES = {
     "periodic": _case_periodic,
     "sweep": _case_sweep,
     "arrow_perfetto": _case_arrow_perfetto,
+    "uniform_delay": _case_uniform_delay,
+    "targeted_delay": _case_targeted_delay,
+    "faults": _case_faults,
+    "wakeup_jumps": _case_wakeup_jumps,
 }
 
 
