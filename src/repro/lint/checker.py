@@ -44,11 +44,11 @@ _ENGINE_ONLY_ATTRS = frozenset(
     {"_network", "_enqueue_send", "_record_completion", "_schedule_wakeup"}
 )
 #: Additional private engine state flagged when accessed on anything that
-#: is not ``self`` (a protocol may legitimately name its own ``_ready``).
+#: is not ``self`` (a protocol may legitimately name its own ``_outboxes``).
 _ENGINE_PRIVATE_ATTRS = _ENGINE_ONLY_ATTRS | frozenset(
-    {"_links", "_outbox", "_ready", "_wakeups", "_nodes", "_ctx",
-     "_msg_seq", "_in_flight", "_adj", "_nbr_sets",
-     "_receive_phase", "_send_phase", "_wake_phase"}
+    {"_in_links", "_outboxes", "_rheaps", "_send_active", "_recv_active",
+     "_wakeups", "_nodes", "_ctx", "_msg_seq", "_in_flight", "_adj",
+     "_nbr_sets", "_receive_phase", "_send_phase", "_wake_phase"}
 )
 
 #: The engine callbacks protocol logic is allowed to originate from.

@@ -1,12 +1,10 @@
 """Engine throughput benchmarks on a fixed protocol x topology matrix.
 
 Each cell runs one protocol to quiescence on one topology and reports
-engine throughput — rounds/sec and messages/sec — for the dense fast
-path and (optionally) the generic fallback path on the *same* workload,
-so the document doubles as a record of what the fast path buys.  The
-matrix spans the engine's distinct regimes: long pipelines (path),
-hub contention (star), all-to-all gossip (complete), and the arrow
-protocol's tree walks.
+engine throughput — rounds/sec and messages/sec.  The matrix spans the
+engine's distinct regimes: long pipelines (path), hub contention
+(star), all-to-all gossip (complete), and the arrow protocol's tree
+walks.
 
 The output document (``repro bench --json BENCH_engine.json``) is the
 committed baseline that CI compares against; see
@@ -139,27 +137,21 @@ def _time_cell(cell: BenchCell, repeats: int) -> tuple[float, Any]:
 def run_bench(
     *,
     repeats: int = 1,
-    fallback: bool = True,
     names: Sequence[str] | None = None,
     cells: Sequence[BenchCell] | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark matrix and return the JSON-safe document.
 
     Args:
-        repeats: timings per cell and path; the best (minimum) is kept.
-        fallback: also time each cell with the dense fast path disabled,
-            recording the generic-path throughput and the speedup.
+        repeats: timings per cell; the best (minimum) is kept.
         names: restrict to these cell names (unknown names raise).
         cells: override the matrix entirely (used by tests).
 
     Returns:
         ``{"schema", "calibration_ops_per_sec", "cells": [...]}`` where
         each cell row carries rounds, messages, seconds, rounds_per_sec,
-        messages_per_sec, and — when ``fallback`` — the generic-path
-        numbers plus ``fast_path_speedup``.
+        and messages_per_sec.
     """
-    from repro.sim import engine_fast_path
-
     matrix = list(cells if cells is not None else BENCH_CELLS)
     if names:
         by_name = {c.name: c for c in matrix}
@@ -170,9 +162,8 @@ def run_bench(
 
     rows: list[dict[str, Any]] = []
     for cell in matrix:
-        with engine_fast_path(True):
-            dt, stats = _time_cell(cell, repeats)
-        row: dict[str, Any] = {
+        dt, stats = _time_cell(cell, repeats)
+        rows.append({
             "name": cell.name,
             "protocol": cell.protocol,
             "topology": cell.topology,
@@ -182,20 +173,7 @@ def run_bench(
             "seconds": round(dt, 4),
             "rounds_per_sec": round(stats.rounds / dt, 1) if dt else 0.0,
             "messages_per_sec": round(stats.messages_sent / dt, 1) if dt else 0.0,
-        }
-        if fallback:
-            with engine_fast_path(False):
-                fdt, fstats = _time_cell(cell, repeats)
-            assert fstats.messages_sent == stats.messages_sent, (
-                f"{cell.name}: fallback path diverged "
-                f"({fstats.messages_sent} != {stats.messages_sent} messages)"
-            )
-            row["fallback_seconds"] = round(fdt, 4)
-            row["fallback_messages_per_sec"] = (
-                round(fstats.messages_sent / fdt, 1) if fdt else 0.0
-            )
-            row["fast_path_speedup"] = round(fdt / dt, 3) if dt else 0.0
-        rows.append(row)
+        })
 
     return {
         "schema": SCHEMA_VERSION,
@@ -207,14 +185,11 @@ def run_bench(
 def render_bench(doc: dict[str, Any]) -> str:
     """Human-readable table for one benchmark document."""
     lines = [
-        f"{'cell':<24} {'rounds':>8} {'messages':>10} {'sec':>8} "
-        f"{'msgs/sec':>12} {'speedup':>8}"
+        f"{'cell':<24} {'rounds':>8} {'messages':>10} {'sec':>8} {'msgs/sec':>12}"
     ]
     for row in doc["cells"]:
-        speedup = row.get("fast_path_speedup")
-        tail = f"{speedup:>7.2f}x" if speedup is not None else f"{'-':>8}"
         lines.append(
             f"{row['name']:<24} {row['rounds']:>8} {row['messages']:>10} "
-            f"{row['seconds']:>8.3f} {row['messages_per_sec']:>12,.0f} {tail}"
+            f"{row['seconds']:>8.3f} {row['messages_per_sec']:>12,.0f}"
         )
     return "\n".join(lines)

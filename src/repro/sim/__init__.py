@@ -44,7 +44,6 @@ from repro.sim.node import Node, NodeContext
 from repro.sim.network import (
     SynchronousNetwork,
     RunStats,
-    engine_fast_path,
     run_protocol,
 )
 from repro.sim.metrics import DelayRecorder, OperationRecord, summarize_delays
@@ -67,7 +66,6 @@ __all__ = [
     "NodeContext",
     "SynchronousNetwork",
     "RunStats",
-    "engine_fast_path",
     "run_protocol",
     "DelayRecorder",
     "OperationRecord",

@@ -20,29 +20,20 @@ proportional to the total number of message-rounds, not ``rounds x n``.
 This matters because the paper's contention bounds make some protocols run
 for Theta(n^2) rounds.
 
-Two interchangeable executions of the same semantics exist (see
-``docs/PERFORMANCE.md``):
-
-* the **dense fast path** — used automatically when the vertex ids are
-  the contiguous range ``0..n-1`` (true for every ``repro.topology``
-  generator).  Link queues, outboxes, and ready heaps live in flat
-  list-indexed arrays, the per-round "who is active" snapshots are
-  maintained incrementally instead of re-derived with ``sorted()`` over
-  dicts, and idle-round detection uses a shared next-event heap;
-* the **generic fallback** — dict-keyed structures that accept arbitrary
-  hashable vertex ids.
-
-Both paths produce event-for-event identical executions: the same trace
-events in the same order, the same stats, the same delivery schedule.
-The golden-trace suite and ``tests/test_fast_path_equivalence.py`` pin
-this equivalence.
+Vertex ids must be the contiguous range ``0..n-1`` (true for every
+``repro.topology`` generator); any other id set is rejected at
+construction.  That lets every piece of per-node state live in a flat
+list indexed by vertex id: outboxes, incoming-link queues, ready heaps,
+and the incrementally maintained sets of nodes with something to send
+or receive.  Idle stretches are skipped with a next-event heap over
+wakeup rounds.  ``docs/PERFORMANCE.md`` describes the data
+structures; the golden-trace suite pins the executions they produce.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -57,30 +48,6 @@ from repro.sim.message import Message
 from repro.sim.metrics import DelayRecorder
 from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
-
-#: Process-wide default for the dense fast path.  The fast path is
-#: semantically identical to the generic one, so this stays True; tests
-#: and benchmarks flip it with :func:`engine_fast_path` to compare paths.
-_FAST_PATH_DEFAULT = True
-
-
-@contextmanager
-def engine_fast_path(enabled: bool) -> Iterator[None]:
-    """Temporarily force the engine's dense fast path on or off.
-
-    Networks constructed inside the ``with`` block (without an explicit
-    ``fast_path=`` argument) use ``enabled`` as their default.  Used by
-    the equivalence tests and ``repro bench`` to time the generic
-    fallback against the fast path on identical inputs.
-    """
-    global _FAST_PATH_DEFAULT
-    prev = _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-    try:
-        yield
-    finally:
-        _FAST_PATH_DEFAULT = prev
-
 
 @dataclass(slots=True)
 class RunStats:
@@ -139,7 +106,7 @@ class SynchronousNetwork:
 
     Args:
         graph: the communication graph (see :func:`_as_adjacency` for the
-            accepted forms).
+            accepted forms); its vertex ids must be exactly ``0..n-1``.
         nodes: mapping from node id to the :class:`Node` protocol object
             for that id; must cover every vertex of the graph and contain
             no entries for vertices outside it.
@@ -184,10 +151,6 @@ class SynchronousNetwork:
             :class:`~repro.sim.errors.StallDetected` is raised); when
             ``None`` (the default) each hook site is one ``is not None``
             check, and traces stay byte-identical.
-        fast_path: force the dense fast path on/off; ``None`` (default)
-            auto-selects — dense when the vertex ids are exactly
-            ``0..n-1``, generic otherwise.  Both paths are execution-
-            equivalent; see ``docs/PERFORMANCE.md``.
 
     Typical use::
 
@@ -210,13 +173,19 @@ class SynchronousNetwork:
         strict: bool = False,
         faults: Any | None = None,
         monitors: Any | None = None,
-        fast_path: bool | None = None,
     ) -> None:
         if send_capacity < 1:
             raise CapacityError(f"send_capacity must be >= 1, got {send_capacity}")
         if recv_capacity < 1:
             raise CapacityError(f"recv_capacity must be >= 1, got {recv_capacity}")
         self._adj = _as_adjacency(graph)
+        n = len(self._adj)
+        # Keys are unique, so n ids inside [0, n) are exactly 0..n-1.
+        bad = [v for v in self._adj if not (isinstance(v, int) and 0 <= v < n)]
+        if bad:
+            raise ProtocolViolation(
+                f"vertex ids must be 0..n-1 (n={n}); offending ids: {bad[:5]}"
+            )
         missing = set(self._adj) - set(nodes)
         if missing:
             raise ProtocolViolation(f"no Node object for vertices {sorted(missing)[:5]}...")
@@ -225,7 +194,7 @@ class SynchronousNetwork:
             raise ProtocolViolation(
                 f"Node objects for vertices not in the graph: {sorted(extra)[:5]}"
             )
-        self._nodes: dict[int, Node] = dict(nodes)
+        self._nodes: list[Node] = [nodes[v] for v in range(n)]
         self._nbr_sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         self.send_capacity = send_capacity
         self.recv_capacity = recv_capacity
@@ -248,62 +217,34 @@ class SynchronousNetwork:
         self._injector = faults.injector() if faults is not None else None
         # Strict-mode send accounting: node -> (round, sends so far).
         self._send_budget: dict[int, tuple[int, int]] = {}
-
-        n = len(self._adj)
-        if fast_path is None:
-            fast_path = _FAST_PATH_DEFAULT
-        # Dense ids 0..n-1 (keys are unique, so min/max pin the range).
-        self._dense = bool(fast_path) and n > 0 and (
-            min(self._adj) == 0 and max(self._adj) == n - 1
-        )
         self._unit_delay = (
             type(self.delay_model) is ConstantDelay and self.delay_model.delay == 1
         )
 
-        if self._dense:
-            # Flat list-indexed engine state (the fast path).
-            self._outboxes: list[deque[Message]] = [deque() for _ in range(n)]
-            #: per destination: incoming-link FIFO queues keyed by source.
-            self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
-            #: per node: heap of (ready_at, seq, src) over link heads.
-            self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-            # Maintained active sets: node is listed exactly once while its
-            # outbox / ready heap is non-empty (flag == membership).
-            self._send_active: list[int] = []
-            self._send_flag = bytearray(n)
-            self._recv_active: list[int] = []
-            self._recv_flag = bytearray(n)
-            #: messages sitting in outboxes (not yet on a link).
-            self._outbox_pending = 0
-            self._nodes_l: list[Node] = [self._nodes[v] for v in range(n)]
-            # Shadow the generic method so NodeContext.send hits the flat
-            # arrays without a per-call dense check.
-            self._enqueue_send = self._enqueue_send_dense  # type: ignore[method-assign]
-        else:
-            # Generic dict-keyed state: arbitrary hashable vertex ids.
-            # Per directed link (u, v): FIFO queue of messages in transit
-            # or waiting to be received at v.
-            self._links: dict[tuple[int, int], deque[Message]] = {}
-            # Per node: FIFO outbox of messages not yet on a link.
-            self._outbox: dict[int, deque[Message]] = {}
-            # Per node: heap of (ready_at, seq, src) for head-of-line
-            # messages on its incoming links.  Only heads are in the heap
-            # so arbitration is O(log deg) per delivery even on the star's
-            # hub.  A promoted head is never receivable before the round
-            # after its predecessor (per-link throughput is one message
-            # per round).
-            self._ready: dict[int, list[tuple[int, int, int]]] = {}
-
-        self._ctx: dict[int, NodeContext] = {
-            v: NodeContext(self, v) for v in self._adj
-        }
-        if self._dense:
-            self._ctx_l: list[NodeContext] = [self._ctx[v] for v in range(n)]
+        #: per node: FIFO outbox of messages not yet on a link.
+        self._outboxes: list[deque[Message]] = [deque() for _ in range(n)]
+        #: per destination: incoming-link FIFO queues keyed by source.
+        self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
+        #: per node: heap of (ready_at, seq, src) over its incoming link
+        #: heads.  Only heads are in the heap, so arbitration is
+        #: O(log deg) per delivery even on the star's hub.  A promoted head
+        #: is never receivable before the round after its predecessor
+        #: (per-link throughput is one message per round).
+        self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        # Maintained active sets: node is listed exactly once while its
+        # outbox / ready heap is non-empty (flag == membership).
+        self._send_active: list[int] = []
+        self._send_flag = bytearray(n)
+        self._recv_active: list[int] = []
+        self._recv_flag = bytearray(n)
+        #: messages sitting in outboxes (not yet on a link).
+        self._outbox_pending = 0
+        self._ctx: list[NodeContext] = [NodeContext(self, v) for v in range(n)]
         self._msg_seq = 0
         self._in_flight = 0
         self._started = False
         self._wakeups: dict[int, list[int]] = {}
-        #: Shared next-event heap over wakeup rounds.  Contains every
+        #: Next-event heap over wakeup rounds.  Contains every
         #: round that currently has (or once had) scheduled wakeups; rounds
         #: no longer in ``_wakeups`` are discarded lazily on peek.  This
         #: replaces the former ``min(self._wakeups)`` linear scans.
@@ -314,11 +255,6 @@ class SynchronousNetwork:
         self.rounds_executed = 0
 
     # ---------------------------------------------------------------- API
-
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether this network runs on the dense fast path."""
-        return self._dense
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
@@ -331,7 +267,7 @@ class SynchronousNetwork:
     @property
     def node_ids(self) -> list[int]:
         """All vertex ids, sorted."""
-        return sorted(self._adj)
+        return list(range(len(self._nodes)))
 
     def node(self, v: int) -> Node:
         """The protocol object at vertex ``v``."""
@@ -357,7 +293,6 @@ class SynchronousNetwork:
             raise ProtocolViolation("a SynchronousNetwork can only be run once")
         self._started = True
 
-        _, send_phase, _ = self._select_phases()
         self.now = 0
         inj = self._injector
         met = self.metrics
@@ -367,18 +302,18 @@ class SynchronousNetwork:
         if inj is not None:
             inj.tick(0, self.stats, self.trace, met)
         if prof is None:
-            for v in sorted(self._nodes):
-                self._nodes[v].on_start(self._ctx[v])
+            for node, ctx in zip(self._nodes, self._ctx):
+                node.on_start(ctx)
         else:
             t0 = prof.clock()
-            for v in sorted(self._nodes):
-                self._nodes[v].on_start(self._ctx[v])
+            for node, ctx in zip(self._nodes, self._ctx):
+                node.on_start(ctx)
             prof.add("node.on_start", prof.clock() - t0)
         if prof is None:
-            send_phase()
+            self._send_phase()
         else:
             t0 = prof.clock()
-            send_phase()
+            self._send_phase()
             prof.add("send", prof.clock() - t0)
         if mon is not None:
             if prof is None:
@@ -411,22 +346,14 @@ class SynchronousNetwork:
         t_run = prof.clock() if prof is not None else 0.0
         return self._loop(max_rounds, t_run)
 
-    def _select_phases(self):
-        """(receive, send, maybe_jump) phase callables for this path."""
-        if self._dense:
-            # Under the paper's unit delay every link head is receivable
-            # by round now+1, so while messages are in flight the clock
-            # can never jump — skip the scan entirely.
-            return (
-                self._receive_phase_dense,
-                self._send_phase_dense,
-                self._maybe_jump_dense if not self._unit_delay else None,
-            )
-        return self._receive_phase, self._send_phase, self._maybe_jump
-
     def _loop(self, max_rounds: int, t_run: float = 0.0) -> RunStats:
         """The round loop: rounds ``now+1 ...`` until quiescence."""
-        receive_phase, send_phase, maybe_jump = self._select_phases()
+        receive_phase = self._receive_phase
+        send_phase = self._send_phase
+        # Under the paper's unit delay every link head is receivable by
+        # round now+1, so while messages are in flight the clock can never
+        # jump: skip the idle-round scan entirely.
+        jump = not self._unit_delay
         inj = self._injector
         met = self.metrics
         prof = self.profiler
@@ -479,8 +406,8 @@ class SynchronousNetwork:
                     t0 = prof.clock()
                     mon.on_round(self)
                     prof.add("monitors", prof.clock() - t0)
-            if maybe_jump is not None:
-                maybe_jump(max_rounds)
+            if jump:
+                self._maybe_jump(max_rounds)
 
         self.rounds_executed = executed
         self.stats.rounds = self.now
@@ -494,26 +421,18 @@ class SynchronousNetwork:
 
     def _pending_nodes(self) -> tuple[int, ...]:
         """Nodes with unsent outbound or undelivered inbound messages."""
-        if self._dense:
-            pending = {u for u, box in enumerate(self._outboxes) if box}
-            for dst, links in enumerate(self._in_links):
-                if any(links.values()):
-                    pending.add(dst)
-            return tuple(sorted(pending))
-        pending = {u for u, box in self._outbox.items() if box}
-        for (_, dst), q in self._links.items():
-            if q:
+        pending = {u for u, box in enumerate(self._outboxes) if box}
+        for dst, links in enumerate(self._in_links):
+            if any(links.values()):
                 pending.add(dst)
         return tuple(sorted(pending))
 
     def _queued_messages(self) -> tuple[Iterator[deque[Message]], Iterator[deque[Message]]]:
         """(link queues, outboxes) iterators for diagnostics."""
-        if self._dense:
-            return (
-                (q for links in self._in_links for q in links.values()),
-                iter(self._outboxes),
-            )
-        return iter(self._links.values()), iter(self._outbox.values())
+        return (
+            (q for links in self._in_links for q in links.values()),
+            iter(self._outboxes),
+        )
 
     def _oldest_undelivered(self) -> tuple[str, int, int, int] | None:
         """``(kind, src, dst, sent_at)`` of the oldest queued message."""
@@ -535,29 +454,6 @@ class SynchronousNetwork:
     # ------------------------------------------------------------ engine
 
     def _enqueue_send(self, src: int, dst: int, kind: str, payload: Any) -> Message:
-        if self.strict:
-            last_round, count = self._send_budget.get(src, (-1, 0))
-            count = count + 1 if last_round == self.now else 1
-            self._send_budget[src] = (self.now, count)
-            if count > self.send_capacity:
-                raise StrictModeViolation(src, self.now, "send", self.send_capacity)
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        msg = Message(src, dst, kind, payload, -1, -1, -1, seq)
-        box = self._outbox.get(src)
-        if box is None:
-            box = self._outbox[src] = deque()
-        box.append(msg)
-        self._in_flight += 1
-        if len(box) > self.stats.max_send_backlog:
-            self.stats.max_send_backlog = len(box)
-        if self.metrics is not None:
-            self.metrics.set_gauge("engine.send_backlog", len(box))
-        if self.trace is not None:
-            self.trace.record("enqueue", self.now, src=src, dst=dst, kind=kind)
-        return msg
-
-    def _enqueue_send_dense(self, src: int, dst: int, kind: str, payload: Any) -> Message:
         if self.strict:
             last_round, count = self._send_budget.get(src, (-1, 0))
             count = count + 1 if last_round == self.now else 1
@@ -643,27 +539,11 @@ class SynchronousNetwork:
 
     def _maybe_jump(self, max_rounds: int) -> None:
         """Skip idle rounds: with long link delays nothing may be
-        receivable for a while; advance the clock to the next event."""
-        if self._in_flight == 0:
-            return
-        if any(box for box in self._outbox.values()):
-            return  # something enters a link next round
-        nxt = None
-        for heap in self._ready.values():
-            if heap and (nxt is None or heap[0][0] < nxt):
-                nxt = heap[0][0]
-        if self._wakeups:
-            w = self._next_wakeup()
-            if w is not None:
-                nxt = w if nxt is None else min(nxt, w)
-        if nxt is not None and nxt > self.now + 1:
-            self.now = min(nxt - 1, max_rounds)
+        receivable for a while; advance the clock to the next event.
 
-    def _maybe_jump_dense(self, max_rounds: int) -> None:
-        """Dense-path idle-round jump (only reachable with non-unit delays).
-
-        The active receiver set holds exactly the nodes with a non-empty
-        ready heap, so the scan is O(active), not O(n)."""
+        Only reachable with non-unit delays.  The active receiver set
+        holds exactly the nodes with a non-empty ready heap, so the scan
+        is O(active), not O(n)."""
         if self._in_flight == 0:
             return
         if self._outbox_pending:
@@ -691,131 +571,9 @@ class SynchronousNetwork:
         if self.monitors is not None:
             self.monitors.on_complete(self, op_id, result, node_id)
 
-    # --------------------------------------------- generic (fallback) path
+    # ------------------------------------------------------------ phases
 
     def _receive_phase(self) -> None:
-        t = self.now
-        inj = self._injector
-        met = self.metrics
-        prof = self.profiler
-        # Snapshot: only nodes with a non-empty ready heap can receive.
-        receivers = sorted(v for v, h in self._ready.items() if h)
-        for v in receivers:
-            if inj is not None and inj.crashed(v, t):
-                continue  # crashed receiver: messages wait on their links
-            heap = self._ready[v]
-            node = self._nodes[v]
-            ctx = self._ctx[v]
-            budget = self.recv_capacity
-            while budget > 0 and heap:
-                ready_at, _seq, src = heap[0]
-                if ready_at > t:
-                    break  # still traversing its link
-                heapq.heappop(heap)
-                q = self._links[(src, v)]
-                msg = q.popleft()
-                if q:
-                    nxt = q[0]
-                    heapq.heappush(heap, (max(nxt.ready_at, t + 1), nxt.seq, src))
-                msg.delivered_at = t
-                self._in_flight -= 1
-                budget -= 1
-                self.stats.messages_delivered += 1
-                wait = msg.link_wait()
-                self.stats.total_link_wait += wait
-                if met is not None:
-                    met.inc("engine.messages_delivered")
-                    met.inc("engine.link_wait_total", wait)
-                    met.observe("msg.link_wait", wait)
-                if self.trace is not None:
-                    self.trace.record(
-                        "deliver", t, src=src, dst=v, kind=msg.kind, wait=wait
-                    )
-                if prof is None:
-                    node.on_receive(msg, ctx)
-                else:
-                    t0 = prof.clock()
-                    node.on_receive(msg, ctx)
-                    prof.add("node.on_receive", prof.clock() - t0)
-            if self.strict and heap and heap[0][0] <= t:
-                raise StrictModeViolation(v, t, "receive", self.recv_capacity)
-
-    def _send_phase(self) -> None:
-        t = self.now
-        inj = self._injector
-        senders = sorted(v for v, box in self._outbox.items() if box)
-        for u in senders:
-            if inj is not None and inj.crashed(u, t):
-                continue  # crashed sender: outbox frozen until recovery
-            box = self._outbox[u]
-            for _ in range(min(self.send_capacity, len(box))):
-                msg = box.popleft()
-                msg.sent_at = t
-                verdict = None
-                if inj is not None:
-                    verdict = inj.on_link_entry(msg, t)
-                    if verdict in ("drop", "outage"):
-                        # Lost on the wire: the send slot is consumed but
-                        # the message never enters the link.
-                        self._in_flight -= 1
-                        self.stats.messages_dropped += 1
-                        if self.metrics is not None:
-                            self.metrics.inc("engine.messages_dropped")
-                        if self.trace is not None:
-                            self.trace.record(
-                                "drop", t, src=u, dst=msg.dst, kind=msg.kind,
-                                reason=verdict,
-                            )
-                        continue
-                self._link_entry(msg, u, t)
-                if verdict == "duplicate":
-                    clone = Message(
-                        src=msg.src, dst=msg.dst, kind=msg.kind,
-                        payload=msg.payload, seq=self._msg_seq,
-                    )
-                    self._msg_seq += 1
-                    clone.sent_at = t
-                    self._in_flight += 1
-                    self.stats.messages_duplicated += 1
-                    if self.metrics is not None:
-                        self.metrics.inc("engine.messages_duplicated")
-                    self._link_entry(clone, u, t)
-                    if self.trace is not None:
-                        self.trace.record(
-                            "duplicate", t, src=u, dst=msg.dst, kind=msg.kind
-                        )
-
-    def _link_entry(self, msg: Message, u: int, t: int) -> None:
-        """Place ``msg`` on its link (the fault-free tail of the send phase)."""
-        msg.ready_at = t + self.delay_model(msg)
-        key = (u, msg.dst)
-        q = self._links.get(key)
-        if q is None:
-            q = self._links[key] = deque()
-        q.append(msg)
-        if len(q) > self.stats.max_recv_backlog:
-            self.stats.max_recv_backlog = len(q)
-        if len(q) == 1:
-            heap = self._ready.get(msg.dst)
-            if heap is None:
-                heap = self._ready[msg.dst] = []
-            heapq.heappush(heap, (msg.ready_at, msg.seq, u))
-        self.stats.messages_sent += 1
-        if self.metrics is not None:
-            self.metrics.inc("engine.messages_sent")
-            self.metrics.set_gauge("engine.recv_backlog", len(q))
-        if self.trace is not None:
-            self.trace.record("send", t, src=u, dst=msg.dst, kind=msg.kind)
-
-    # ------------------------------------------------------ dense fast path
-    #
-    # Mirror images of the generic phases over flat arrays.  Every
-    # externally visible effect (delivery order, stats totals, metrics
-    # calls, trace events) happens at the same point in the same order as
-    # the generic path — the equivalence suite diffs full event traces to
-    # keep it that way.
-
-    def _receive_phase_dense(self) -> None:
         active = self._recv_active
         if not active:
             return
@@ -828,8 +586,8 @@ class SynchronousNetwork:
         cap = self.recv_capacity
         heappop = heapq.heappop
         heappush = heapq.heappush
-        nodes = self._nodes_l
-        ctxs = self._ctx_l
+        nodes = self._nodes
+        ctxs = self._ctx
         in_links = self._in_links
         rheaps = self._rheaps
         flags = self._recv_flag
@@ -890,7 +648,7 @@ class SynchronousNetwork:
         self.stats.messages_delivered += delivered
         self.stats.total_link_wait += wait_total
 
-    def _send_phase_dense(self) -> None:
+    def _send_phase(self) -> None:
         active = self._send_active
         if not active:
             return
@@ -926,6 +684,7 @@ class SynchronousNetwork:
                 msg = box.popleft()
                 moved += 1
                 msg.sent_at = t
+                clone = None
                 if inj is not None:
                     verdict = inj.on_link_entry(msg, t)
                     if verdict in ("drop", "outage"):
@@ -941,78 +700,55 @@ class SynchronousNetwork:
                                 reason=verdict,
                             )
                         continue
-                else:
-                    verdict = None
-                # Inlined link entry (the hot path).
+                    if verdict == "duplicate":
+                        # A fresh copy follows the original onto the same
+                        # link in the same round.
+                        clone = Message(
+                            src=msg.src, dst=msg.dst, kind=msg.kind,
+                            payload=msg.payload, seq=self._msg_seq,
+                        )
+                        self._msg_seq += 1
+                        clone.sent_at = t
+                        self._in_flight += 1
+                        stats.messages_duplicated += 1
+                        if met is not None:
+                            met.inc("engine.messages_duplicated")
                 dst = msg.dst
-                msg.ready_at = t + 1 if unit else t + delay_model(msg)
                 links_d = in_links[dst]
-                q = links_d.get(u)
-                if q is None:
-                    q = links_d[u] = deque()
-                q.append(msg)
-                lq = len(q)
-                if lq > max_backlog:
-                    max_backlog = lq
-                if lq == 1:
-                    heappush(rheaps[dst], (msg.ready_at, msg.seq, u))
-                    if not recv_flag[dst]:
-                        recv_flag[dst] = 1
-                        recv_active.append(dst)
-                sent += 1
-                if met is not None:
-                    met.inc("engine.messages_sent")
-                    met.set_gauge("engine.recv_backlog", lq)
-                if trace is not None:
-                    trace.record("send", t, src=u, dst=dst, kind=msg.kind)
-                if verdict == "duplicate":
-                    clone = Message(
-                        src=msg.src, dst=dst, kind=msg.kind,
-                        payload=msg.payload, seq=self._msg_seq,
-                    )
-                    self._msg_seq += 1
-                    clone.sent_at = t
-                    self._in_flight += 1
-                    stats.messages_duplicated += 1
+                # Link entry, for the message and then for its injected
+                # copy (if any): join the FIFO queue on link (u, dst).
+                m = msg
+                while True:
+                    m.ready_at = t + 1 if unit else t + delay_model(m)
+                    q = links_d.get(u)
+                    if q is None:
+                        q = links_d[u] = deque()
+                    q.append(m)
+                    lq = len(q)
+                    if lq > max_backlog:
+                        max_backlog = lq
+                    if lq == 1:
+                        heappush(rheaps[dst], (m.ready_at, m.seq, u))
+                        if not recv_flag[dst]:
+                            recv_flag[dst] = 1
+                            recv_active.append(dst)
+                    sent += 1
                     if met is not None:
-                        met.inc("engine.messages_duplicated")
-                    # Duplicate copies take the non-inlined tail so the
-                    # stats/metrics ordering matches the generic path.
-                    stats.max_recv_backlog = max_backlog
-                    stats.messages_sent += sent
-                    sent = 0
-                    self._link_entry_dense(clone, u, t)
-                    max_backlog = stats.max_recv_backlog
+                        met.inc("engine.messages_sent")
+                        met.set_gauge("engine.recv_backlog", lq)
                     if trace is not None:
-                        trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
+                        trace.record("send", t, src=u, dst=dst, kind=m.kind)
+                    if clone is None or m is clone:
+                        break
+                    m = clone
+                if clone is not None and trace is not None:
+                    trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
             if box:
                 flags[u] = 1
                 active.append(u)
         stats.max_recv_backlog = max_backlog
         stats.messages_sent += sent
         self._outbox_pending -= moved
-
-    def _link_entry_dense(self, msg: Message, u: int, t: int) -> None:
-        """Dense-path link entry for the rare (fault duplicate) tail."""
-        msg.ready_at = t + self.delay_model(msg)
-        links_d = self._in_links[msg.dst]
-        q = links_d.get(u)
-        if q is None:
-            q = links_d[u] = deque()
-        q.append(msg)
-        if len(q) > self.stats.max_recv_backlog:
-            self.stats.max_recv_backlog = len(q)
-        if len(q) == 1:
-            heapq.heappush(self._rheaps[msg.dst], (msg.ready_at, msg.seq, u))
-            if not self._recv_flag[msg.dst]:
-                self._recv_flag[msg.dst] = 1
-                self._recv_active.append(msg.dst)
-        self.stats.messages_sent += 1
-        if self.metrics is not None:
-            self.metrics.inc("engine.messages_sent")
-            self.metrics.set_gauge("engine.recv_backlog", len(q))
-        if self.trace is not None:
-            self.trace.record("send", t, src=u, dst=msg.dst, kind=msg.kind)
 
 
 def run_protocol(

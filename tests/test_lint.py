@@ -47,11 +47,17 @@ from repro.sim import Node
 
 
 class InternalsNode(Node):
+    def __init__(self, node_id, net):
+        super().__init__(node_id)
+        self.net = net
+        self._in_links = []  # the node's own attribute, not engine state
+
     def on_start(self, ctx):
         ctx._network._enqueue_send(self.node_id, 0, "x", None)  # MARK-R1
 
     def on_receive(self, msg, ctx):
-        pass
+        waiting = self.net._in_links[ctx.node_id]  # MARK-LINKS
+        self._in_links.append(len(waiting))
 """
 
 
@@ -60,7 +66,9 @@ class TestR1EngineInternals:
         findings = findings_for(SRC_R1)
         r1 = [f for f in findings if f.rule_id == "R1"]
         assert r1, f"no R1 finding in {findings}"
-        assert marked_line(SRC_R1, "MARK-R1") in {f.line for f in r1}
+        assert {f.line for f in r1} == {
+            marked_line(SRC_R1, "MARK-R1"), marked_line(SRC_R1, "MARK-LINKS")
+        }
         assert all(f.path == "fixture.py" for f in r1)
 
 

@@ -34,18 +34,9 @@ class TestRunBench:
         for cell in doc["cells"]:
             assert cell["messages"] > 0 and cell["rounds"] > 0
             assert cell["messages_per_sec"] > 0
-            # fallback timings are on by default
-            assert cell["fallback_messages_per_sec"] > 0
-            assert cell["fast_path_speedup"] > 0
-
-    def test_no_fallback_omits_fields(self):
-        doc = run_bench(cells=_tiny_cells(), fallback=False)
-        for cell in doc["cells"]:
-            assert "fallback_seconds" not in cell
-            assert "fast_path_speedup" not in cell
 
     def test_names_filter_and_order(self):
-        doc = run_bench(cells=_tiny_cells(), names=["central/star/16"], fallback=False)
+        doc = run_bench(cells=_tiny_cells(), names=["central/star/16"])
         assert [c["name"] for c in doc["cells"]] == ["central/star/16"]
 
     def test_unknown_name_raises(self):
@@ -53,7 +44,7 @@ class TestRunBench:
             run_bench(cells=_tiny_cells(), names=["nope/zilch/0"])
 
     def test_document_is_json_safe(self):
-        doc = run_bench(cells=_tiny_cells(), fallback=False)
+        doc = run_bench(cells=_tiny_cells())
         json.dumps(doc)
 
     def test_render_lists_every_cell(self):
@@ -177,7 +168,7 @@ class TestCliBench:
 
         out = tmp_path / "bench.json"
         rc = main([
-            "bench", "--cells", "central/star/4096", "--no-fallback",
+            "bench", "--cells", "central/star/4096",
             "--json", str(out),
         ])
         assert rc == 0
@@ -187,7 +178,7 @@ class TestCliBench:
         # threshold keeps this robust to timing noise on a loaded machine;
         # the gate logic itself is pinned by TestCompare with synthetic docs.
         rc = main([
-            "bench", "--cells", "central/star/4096", "--no-fallback",
+            "bench", "--cells", "central/star/4096",
             "--compare", str(out), "--threshold", "0.9",
         ])
         assert rc == 0
@@ -199,7 +190,7 @@ class TestCliBench:
         path = tmp_path / "impossible.json"
         path.write_text(json.dumps(baseline))
         rc = main([
-            "bench", "--cells", "central/star/4096", "--no-fallback",
+            "bench", "--cells", "central/star/4096",
             "--compare", str(path),
         ])
         assert rc == 1

@@ -94,6 +94,17 @@ class TestBasics:
         with pytest.raises(ProtocolViolation, match="not in the graph"):
             SynchronousNetwork(g, nodes)
 
+    def test_non_contiguous_ids_rejected(self):
+        adj = {0: [2], 2: [0, 5], 5: [2]}
+        nodes = {v: Sender(v) for v in adj}
+        with pytest.raises(ProtocolViolation, match=r"0\.\.n-1 .*\[5\]"):
+            SynchronousNetwork(adj, nodes)
+
+    def test_empty_graph_runs_zero_rounds(self):
+        net = SynchronousNetwork(range(0), {})
+        assert net.run().rounds == 0
+        assert net.node_ids == []
+
     def test_invalid_capacities_rejected(self):
         g, nodes = line(2)
         with pytest.raises(CapacityError):
@@ -259,8 +270,7 @@ class TestWakeups:
         SynchronousNetwork(g, nodes).run()
         assert all(nodes[v].woke == [2] for v in range(3))
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_long_idle_schedule_executes_few_rounds(self, fast_path):
+    def test_long_idle_schedule_executes_few_rounds(self):
         """A sparse wakeup schedule must cost work per *event*, not per round.
 
         The engine's next-event heap jumps the clock over idle stretches:
@@ -272,7 +282,7 @@ class TestWakeups:
         marks = [1_000, 1_000_000, 1_000_000_000]
         g = path_graph(2)
         nodes = {0: WakerNode(0, at=marks), 1: WakerNode(1)}
-        net = SynchronousNetwork(g, nodes, fast_path=fast_path)
+        net = SynchronousNetwork(g, nodes)
         stats = net.run(max_rounds=2_000_000_000)
         assert nodes[0].woke == marks
         assert stats.rounds == marks[-1]
@@ -280,12 +290,11 @@ class TestWakeups:
         # once per jump target), not one per clock tick.
         assert net.rounds_executed <= len(marks) + 1
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_rounds_executed_counts_busy_rounds(self, fast_path):
+    def test_rounds_executed_counts_busy_rounds(self):
         n = 6
         g = path_graph(n)
         nodes = {v: RelayNode(v, nxt=v + 1 if v + 1 < n else None) for v in range(n)}
-        net = SynchronousNetwork(g, nodes, fast_path=fast_path)
+        net = SynchronousNetwork(g, nodes)
         stats = net.run()
         # A relay chain is busy every round: no jumps, executed == clock.
         assert net.rounds_executed == stats.rounds == n - 1
