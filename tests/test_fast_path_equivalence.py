@@ -1,11 +1,11 @@
-"""Dense fast path vs generic fallback: execution equivalence.
+"""Observed vs bare runs: execution equivalence on the golden protocols.
 
-The engine's dense fast path (flat arrays, maintained active sets, the
-next-event heap — see ``docs/PERFORMANCE.md``) must be *event-for-event*
-identical to the generic dict-keyed path: same trace events in the same
-order, same stats, same protocol outputs.  These tests run every golden
-protocol — and the delay-model / fault / wakeup variants the goldens do
-not cover — under both paths and diff the full executions.
+Observers only watch the engine: a run with an :class:`EventTrace` (and,
+where the runner takes one, a :class:`PhaseProfiler`) attached must
+produce the same stats and the same protocol output as the same run with
+nothing attached, and two observed runs must record identical event
+streams.  These tests run every golden protocol both ways and diff the
+executions.
 """
 
 from __future__ import annotations
@@ -31,36 +31,32 @@ from repro import (
     star_graph,
 )
 from repro.counting import run_sweep_counting
-from repro.sim import EventTrace, SynchronousNetwork, UniformDelay, engine_fast_path
+from repro.obs.profile import PhaseProfiler
+from repro.sim import EventTrace
 
-
-def _run(case: Callable[[EventTrace], Any]) -> tuple[list, dict, Any]:
-    """Execute one traced case and return (events, stats, output)."""
-    tr = EventTrace()
-    result = case(tr)
-    events = [(e.kind, e.round, e.data) for e in tr.events]
-    return events, asdict(result.stats), result
-
-
-CASES: dict[str, Callable[[EventTrace], Any]] = {
-    "arrow": lambda tr: run_arrow(
-        path_spanning_tree(path_graph(8)), range(8), trace=tr
+#: Each case takes the observer kwargs to pass through to its runner.
+CASES: dict[str, Callable[..., Any]] = {
+    "arrow": lambda **kw: run_arrow(
+        path_spanning_tree(path_graph(8)), range(8), **kw
     ),
-    "central_counting": lambda tr: run_central_counting(
-        star_graph(6), range(6), trace=tr
+    "central_counting": lambda **kw: run_central_counting(
+        star_graph(6), range(6), **kw
     ),
-    "central_queuing": lambda tr: run_central_queuing(
-        star_graph(6), range(6), trace=tr
+    "central_queuing": lambda **kw: run_central_queuing(
+        star_graph(6), range(6), **kw
     ),
-    "combining": lambda tr: run_combining_counting(
-        bfs_spanning_tree(complete_graph(8)), range(8), trace=tr
+    "combining": lambda **kw: run_combining_counting(
+        bfs_spanning_tree(complete_graph(8)), range(8), **kw
     ),
-    "flood": lambda tr: run_flood_counting(mesh_graph([3, 3]), range(9), trace=tr),
-    "cnet": lambda tr: run_counting_network(complete_graph(6), range(6), trace=tr),
-    "periodic": lambda tr: run_periodic_counting(
-        complete_graph(8), range(8), trace=tr
+    "flood": lambda **kw: run_flood_counting(mesh_graph([3, 3]), range(9), **kw),
+    "cnet": lambda **kw: run_counting_network(complete_graph(6), range(6), **kw),
+    "periodic": lambda **kw: run_periodic_counting(
+        complete_graph(8), range(8), **kw
     ),
-    "sweep": lambda tr: run_sweep_counting(path_graph(8), range(8), trace=tr),
+    # The sweep runner takes a trace but no profiler.
+    "sweep": lambda **kw: run_sweep_counting(
+        path_graph(8), range(8), trace=kw.get("trace")
+    ),
 }
 
 
@@ -70,134 +66,22 @@ def _output_fingerprint(result: Any) -> Any:
         return sorted(result.counts.items())
     if hasattr(result, "order"):
         return (result.order(), result.total_delay)
-    return None
+    return (sorted(result.predecessors.items()), result.total_delay)
+
+
+def _observed(name: str) -> tuple[list, dict, Any]:
+    """Run one case with a trace and a profiler attached."""
+    tr = EventTrace()
+    result = CASES[name](trace=tr, profiler=PhaseProfiler())
+    events = [(e.kind, e.round, e.data) for e in tr.events]
+    return events, asdict(result.stats), _output_fingerprint(result)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_protocols_equivalent(name: str) -> None:
-    with engine_fast_path(True):
-        fast_events, fast_stats, fast_res = _run(CASES[name])
-    with engine_fast_path(False):
-        slow_events, slow_stats, slow_res = _run(CASES[name])
-    assert fast_events == slow_events, f"{name}: event traces diverged"
-    assert fast_stats == slow_stats, f"{name}: RunStats diverged"
-    assert _output_fingerprint(fast_res) == _output_fingerprint(slow_res)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_fast_path_actually_engaged(name: str) -> None:
-    """Guard against the equivalence suite silently comparing the generic
-    path to itself: all golden topologies have contiguous ids, so the
-    fast path must be selected under the default."""
-    g = path_graph(4)
-    from repro.sim import Node
-
-    with engine_fast_path(True):
-        net = SynchronousNetwork(g, {v: Node(v) for v in range(4)})
-    assert net.uses_fast_path
-    with engine_fast_path(False):
-        net = SynchronousNetwork(g, {v: Node(v) for v in range(4)})
-    assert not net.uses_fast_path
-
-
-def test_non_contiguous_ids_fall_back() -> None:
-    """Gapped vertex ids must be served by the generic path."""
-    from repro.sim import Node
-
-    adj = {0: [2], 2: [0, 5], 5: [2]}
-    with engine_fast_path(True):
-        net = SynchronousNetwork(adj, {v: Node(v) for v in adj})
-    assert not net.uses_fast_path
-    net.run()
-
-
-def test_explicit_fast_path_kwarg_overrides_default() -> None:
-    from repro.sim import Node
-
-    g = path_graph(3)
-    with engine_fast_path(True):
-        net = SynchronousNetwork(g, {v: Node(v) for v in range(3)}, fast_path=False)
-    assert not net.uses_fast_path
-
-
-def _non_unit_delay_case(tr: EventTrace) -> Any:
-    """Random (seeded) link delays exercise ready-heap ordering and the
-    idle-round jumps that the unit-delay invariant skips entirely."""
-    return run_flood_counting(
-        path_graph(6), range(6), delay_model=UniformDelay(1, 5, seed=11), trace=tr
-    )
-
-
-def _targeted_delay_case(tr: EventTrace) -> Any:
-    from repro.sim import TargetedDelay
-
-    return run_central_counting(
-        star_graph(6), range(6),
-        delay_model=TargetedDelay(slow_links=frozenset({(1, 0)}), slow=7),
-        trace=tr,
-    )
-
-
-def _fault_case(tr: EventTrace) -> Any:
-    """Drops, duplicates, and a crash window must follow the same RNG-draw
-    and injection order on both paths."""
-    from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
-
-    # Any eventually-delivering plan completes now that the reliable
-    # wrapper coalesces crash-deferred wakeups and pauses its retry
-    # budget across scheduled windows; this one crashes the path's
-    # middle node so every cross-crash exchange exercises both fixes.
-    plan = FaultPlan(
-        seed=0,
-        drop_rate=0.2,
-        duplicate_rate=0.1,
-        max_consecutive_drops=2,
-        crashes=(NodeCrash(node=2, start=3, end=7),),
-    )
-    return run_flood_counting_ft(path_graph(5), range(5), plan, trace=tr)
-
-
-class _StaggeredPinger:
-    """Builds a network whose nodes wake at staggered far-apart rounds and
-    ping a neighbor, driving the next-event heap on an idle network."""
-
-    def __call__(self, tr: EventTrace) -> Any:
-        from repro.sim import Node
-
-        class Pinger(Node):
-            def on_start(self, ctx):
-                ctx.schedule_wakeup(100 * (self.node_id + 1))
-
-            def on_wake(self, ctx):
-                ctx.send(ctx.neighbors[0], "ping")
-
-        g = path_graph(6)
-        net = SynchronousNetwork(g, {v: Pinger(v) for v in range(6)}, trace=tr)
-        net.run()
-
-        class Result:
-            stats = net.stats
-
-        return Result()
-
-
-def _wakeup_jump_case(tr: EventTrace) -> Any:
-    return _StaggeredPinger()(tr)
-
-
-EXTRA_CASES = {
-    "uniform_delay": _non_unit_delay_case,
-    "targeted_delay": _targeted_delay_case,
-    "faults": _fault_case,
-    "wakeup_jumps": _wakeup_jump_case,
-}
-
-
-@pytest.mark.parametrize("name", sorted(EXTRA_CASES))
-def test_extra_regimes_equivalent(name: str) -> None:
-    with engine_fast_path(True):
-        fast_events, fast_stats, _ = _run(EXTRA_CASES[name])
-    with engine_fast_path(False):
-        slow_events, slow_stats, _ = _run(EXTRA_CASES[name])
-    assert fast_events == slow_events, f"{name}: event traces diverged"
-    assert fast_stats == slow_stats, f"{name}: RunStats diverged"
+    bare = CASES[name]()
+    events, stats, output = _observed(name)
+    assert events, f"{name}: the trace recorded nothing"
+    assert stats == asdict(bare.stats), f"{name}: RunStats diverged"
+    assert output == _output_fingerprint(bare), f"{name}: outputs diverged"
+    assert _observed(name) == (events, stats, output), f"{name}: reruns diverged"

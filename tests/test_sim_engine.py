@@ -270,7 +270,8 @@ class TestWakeups:
         SynchronousNetwork(g, nodes).run()
         assert all(nodes[v].woke == [2] for v in range(3))
 
-    def test_long_idle_schedule_executes_few_rounds(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_long_idle_schedule_executes_few_rounds(self, traced):
         """A sparse wakeup schedule must cost work per *event*, not per round.
 
         The engine's next-event heap jumps the clock over idle stretches:
@@ -278,11 +279,12 @@ class TestWakeups:
         rounds.  Asserting ``rounds_executed`` (not just the results)
         pins the jumping itself — a regression to linear scanning would
         still produce the right wake rounds, just astronomically slower.
+        An attached trace must not disturb the jumps.
         """
         marks = [1_000, 1_000_000, 1_000_000_000]
         g = path_graph(2)
         nodes = {0: WakerNode(0, at=marks), 1: WakerNode(1)}
-        net = SynchronousNetwork(g, nodes)
+        net = SynchronousNetwork(g, nodes, trace=EventTrace() if traced else None)
         stats = net.run(max_rounds=2_000_000_000)
         assert nodes[0].woke == marks
         assert stats.rounds == marks[-1]
@@ -290,11 +292,12 @@ class TestWakeups:
         # once per jump target), not one per clock tick.
         assert net.rounds_executed <= len(marks) + 1
 
-    def test_rounds_executed_counts_busy_rounds(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_rounds_executed_counts_busy_rounds(self, traced):
         n = 6
         g = path_graph(n)
         nodes = {v: RelayNode(v, nxt=v + 1 if v + 1 < n else None) for v in range(n)}
-        net = SynchronousNetwork(g, nodes)
+        net = SynchronousNetwork(g, nodes, trace=EventTrace() if traced else None)
         stats = net.run()
         # A relay chain is busy every round: no jumps, executed == clock.
         assert net.rounds_executed == stats.rounds == n - 1
