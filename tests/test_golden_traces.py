@@ -28,6 +28,7 @@ from repro import (
     mesh_graph,
     path_graph,
     path_spanning_tree,
+    ring_graph,
     run_arrow,
     run_central_counting,
     run_central_queuing,
@@ -38,7 +39,17 @@ from repro import (
     star_graph,
 )
 from repro.counting import run_sweep_counting
-from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
+from repro.faults import (
+    FaultPlan,
+    LinkOutage,
+    NodeCrash,
+    RetryBudgetExceeded,
+    RetryPolicy,
+    run_central_counting_ft,
+    run_flood_counting_ft,
+)
+from repro.obs import MetricsRegistry
+from repro.resilience import CountingInvariant, MonitorSet, Watchdog
 from repro.sim import EventTrace, Node, SynchronousNetwork, TargetedDelay, UniformDelay
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -170,6 +181,70 @@ def _case_faults() -> Any:
     return _doc(tr, r.stats, counts=sorted(r.counts.items()), delays=sorted(r.delays.items()))
 
 
+def _case_faults_observed() -> Any:
+    """Fault-tolerant runs with every observer attached: pins the
+    reliable layer's retransmit order, the watchdog's crash pauses and
+    the engine's metric publishing (counters, gauge high-water marks,
+    histograms, per-round series) alongside the event stream."""
+    plan = FaultPlan(
+        seed=3,
+        drop_rate=0.2,
+        duplicate_rate=0.1,
+        max_consecutive_drops=2,
+        outages=(LinkOutage(0, 1, 4, 12),),
+        crashes=(NodeCrash(node=3, start=5, end=15),),
+    )
+    out = {}
+    for name, runner, graph in (
+        ("central_ft/star/16", run_central_counting_ft, star_graph(16)),
+        ("flood_ft/ring/10", run_flood_counting_ft, ring_graph(10)),
+    ):
+        n = graph.n
+        tr = EventTrace()
+        metrics = MetricsRegistry()
+        monitors = MonitorSet(
+            invariants=(CountingInvariant(expected=n),),
+            watchdog=Watchdog(
+                stall_window=200, livelock_window=2_000, expected_completions=n
+            ),
+            metrics=metrics,
+        )
+        r = runner(
+            graph, range(n), plan, trace=tr, metrics=metrics, monitors=monitors
+        )
+        out[name] = _doc(
+            tr, r.stats,
+            counts=sorted(r.counts.items()), delays=sorted(r.delays.items()),
+            metrics=metrics.to_dict(),
+        )
+    return out
+
+
+def _case_retry_exhausted() -> Any:
+    """A contended hub exhausts a tight retry budget with no fault
+    injected: pins the retransmit schedule up to the raise and the
+    metrics document as it stands when the run aborts."""
+    tr = EventTrace()
+    metrics = MetricsRegistry()
+    with pytest.raises(RetryBudgetExceeded) as info:
+        run_central_counting_ft(
+            star_graph(64), range(64), FaultPlan(),
+            trace=tr, metrics=metrics,
+            policy=RetryPolicy(timeout=2, max_retries=3),
+        )
+    e = info.value
+    return _canonical(
+        {
+            "events": [[ev.kind, ev.round, ev.data] for ev in tr.events],
+            "error": {
+                "node": e.node_id, "dst": e.dst, "kind": e.kind,
+                "attempts": e.attempts, "round": e.round,
+            },
+            "metrics": metrics.to_dict(),
+        }
+    )
+
+
 class _Pinger(Node):
     """Wakes at a far-off round fixed by its id and pings a neighbor."""
 
@@ -202,6 +277,8 @@ CASES = {
     "uniform_delay": _case_uniform_delay,
     "targeted_delay": _case_targeted_delay,
     "faults": _case_faults,
+    "faults_observed": _case_faults_observed,
+    "retry_exhausted": _case_retry_exhausted,
     "wakeup_jumps": _case_wakeup_jumps,
 }
 
