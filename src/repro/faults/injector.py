@@ -22,7 +22,7 @@ plan is exactly reproducible.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.faults.plan import FaultPlan
 
@@ -93,6 +93,21 @@ class FaultInjector:
             if c.down(round_):
                 return c.end
         return round_ + 1  # pragma: no cover - callers check crashed() first
+
+    def recovering(self, round_: int) -> Iterator[int]:
+        """Nodes down in ``round_`` that are scheduled to recover.
+
+        One pass over the crash windows, however many nodes the graph
+        has.  A node counts exactly when :meth:`crashed` is true and
+        :meth:`recovery_round` is not ``None`` for it, so the watchdog
+        can ask this once per round instead of querying every node.
+        """
+        for node, crashes in self._crashes_by_node.items():
+            for c in crashes:
+                if c.down(round_):
+                    if c.end is not None:
+                        yield node
+                    break
 
     def tick(self, round_: int, stats, trace, metrics=None) -> None:
         """Emit crash/recover boundaries scheduled at or before ``round_``.

@@ -26,11 +26,14 @@ wrapped protocol's messages are all delivered exactly once, so the
 protocol completes and its outputs verify.  Non-guarantees: no ordering
 beyond the engine's FIFO links is restored, crashed nodes do not lose
 state (crash = fail-stop pause, not amnesia), and a permanent crash or
-an unbounded drop run can still exhaust the retry budget.
+an unbounded drop run can still exhaust the retry budget — as can, with
+no fault at all, a receiver whose queue outlasts the fixed retry
+schedule (see docs/FAULTS.md).
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any
 
 from repro.sim.errors import SimulationError
@@ -39,7 +42,13 @@ from repro.sim.node import Node, NodeContext
 
 
 class RetryBudgetExceeded(SimulationError):
-    """A reliable sender gave up on a message after ``max_retries`` resends."""
+    """A reliable sender gave up on a message after ``max_retries`` resends.
+
+    The message names the cause.  When the run's plan injects faults, the
+    plan starved the link.  With no plan or an empty plan nothing was
+    lost: the ack did not come back within the retry schedule because the
+    receiver's queue (one message per round) outlasted it.
+    """
 
     def __init__(
         self,
@@ -48,16 +57,25 @@ class RetryBudgetExceeded(SimulationError):
         kind: str,
         attempts: int,
         round_: int | None = None,
+        plan: Any | None = None,
     ) -> None:
         self.node_id = node_id
         self.dst = dst
         self.kind = kind
         self.attempts = attempts
         self.round = round_
+        self.plan = plan
         at = "" if round_ is None else f" (round {round_})"
+        if plan is not None and not plan.is_empty():
+            cause = "the fault plan starved the link"
+        else:
+            cause = (
+                "no fault was injected; the ack did not return within the "
+                "retry schedule (receiver contention)"
+            )
         super().__init__(
             f"node {node_id} gave up sending {kind!r} to {dst} after "
-            f"{attempts} attempts{at} — the fault plan starved the link"
+            f"{attempts} attempts{at} — {cause}"
         )
 
 
@@ -67,8 +85,11 @@ class RetryPolicy:
     Attributes:
         timeout: rounds to wait for an ack before the first retransmit.
             Must cover the round trip (2 link delays) plus expected
-            receiver contention; too small a value wastes bandwidth on
-            spurious retransmits but never breaks correctness.
+            receiver contention.  Too small a value wastes bandwidth on
+            spurious retransmits, and together with ``max_retries`` it
+            bounds how long an ack may take: the default schedule gives
+            up after about 1,800 rounds, which a contended receiver can
+            exceed with no fault injected (:class:`RetryBudgetExceeded`).
         backoff: multiplicative interval growth per retransmit (>= 1).
         max_interval: cap on the retransmit interval.
         max_retries: retransmissions allowed per message before
@@ -153,6 +174,7 @@ class _ReliableContext:
             due=self._ctx.now + policy.timeout,
         )
         owner.pending[seq] = pending
+        heapq.heappush(owner.timers, (pending.due, seq))
         if owner.metrics is not None:
             owner.metrics.inc("reliable.app_sends")
         msg = self._ctx.send(dst, "rel", payload=(seq, kind, payload))
@@ -193,8 +215,8 @@ class ReliableNode(Node):
     """
 
     __slots__ = (
-        "inner", "policy", "metrics", "plan", "next_seq", "pending", "seen",
-        "armed", "inner_wakes", "_rctx",
+        "inner", "policy", "metrics", "plan", "next_seq", "pending", "timers",
+        "seen", "armed", "inner_wakes", "_rctx",
     )
 
     def __init__(
@@ -215,6 +237,10 @@ class ReliableNode(Node):
         self.next_seq = 0
         #: seq -> unacked envelope.
         self.pending: dict[int, _Pending] = {}
+        #: heap of (due, seq) over the pending envelopes.  An entry is
+        #: live while its seq is pending with that due; acks and re-aimed
+        #: timers leave stale entries, dropped when they reach the top.
+        self.timers: list[tuple[int, int]] = []
         #: sender -> seqs already delivered to the wrapped node.
         self.seen: dict[int, set[int]] = {}
         #: rounds with an engine wakeup already scheduled.
@@ -230,11 +256,23 @@ class ReliableNode(Node):
             self._rctx = _ReliableContext(ctx, self)
         return self._rctx
 
+    def _next_due(self) -> int | None:
+        """The earliest due round over the pending envelopes, or None."""
+        timers = self.timers
+        pending = self.pending
+        while timers:
+            due, seq = timers[0]
+            p = pending.get(seq)
+            if p is not None and p.due == due:
+                return due
+            heapq.heappop(timers)
+        return None
+
     def _arm_timer(self, ctx: NodeContext) -> None:
         """Ensure a wakeup covers the earliest pending retransmission."""
-        if not self.pending:
+        due = self._next_due()
+        if due is None:
             return
-        due = min(p.due for p in self.pending.values())
         due = max(due, ctx.now + 1)
         if due not in self.armed:
             self.armed.add(due)
@@ -282,10 +320,19 @@ class ReliableNode(Node):
         if due_inner:
             self.inner_wakes.difference_update(due_inner)
             self.inner.on_wake(self._proxy(ctx))
-        for seq in sorted(self.pending):
-            p = self.pending.get(seq)
-            if p is None or p.due > t:
-                continue
+        # Pop every live timer due by t; the envelopes then go out in seq
+        # order.  Each one is re-aimed at a later round and pushed again.
+        timers = self.timers
+        pending = self.pending
+        due_seqs = []
+        while timers and timers[0][0] <= t:
+            due, seq = heapq.heappop(timers)
+            p = pending.get(seq)
+            if p is not None and p.due == due:
+                due_seqs.append(seq)
+        due_seqs.sort()
+        for seq in due_seqs:
+            p = pending[seq]
             if self.plan is not None:
                 clear = self.plan.blocked_until(self.node_id, p.dst, t)
                 if clear is not None and clear > t:
@@ -294,16 +341,19 @@ class ReliableNode(Node):
                     # lose or freeze it.  Re-aim at the first clear round
                     # without charging the retry budget.
                     p.due = clear
+                    heapq.heappush(timers, (clear, seq))
                     if self.metrics is not None:
                         self.metrics.inc("reliable.budget_pauses")
                     continue
             if p.attempts > self.policy.max_retries:
                 raise RetryBudgetExceeded(
-                    self.node_id, p.dst, p.kind, p.attempts, round_=t
+                    self.node_id, p.dst, p.kind, p.attempts, round_=t,
+                    plan=self.plan,
                 )
             p.attempts += 1
             p.interval = self.policy.next_interval(p.interval)
             p.due = t + p.interval
+            heapq.heappush(timers, (p.due, seq))
             if self.metrics is not None:
                 self.metrics.inc("reliable.retransmits")
             ctx.send(p.dst, "rel", payload=(seq, p.kind, p.payload))

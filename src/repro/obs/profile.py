@@ -4,8 +4,8 @@ A :class:`PhaseProfiler` is attached to a network
 (``SynchronousNetwork(..., profiler=prof)`` or a runner's ``profiler=``
 kwarg).  The engine then times each phase of every executed round — send
 drain, link advance + delivery, node wakeups, fault-injector ticks, and
-the protocol's own ``on_receive`` compute (reported nested inside the
-receive phase) — and the profiler aggregates totals, call counts, and
+the protocol's own ``on_receive`` and ``on_wake`` compute (reported nested
+inside the receive and wake phases) — and the profiler aggregates totals, call counts, and
 maxima per phase.  Like the metrics registry, the hook is zero-cost when
 absent: the engine checks one local against ``None`` per phase.
 
@@ -22,7 +22,7 @@ from typing import Any
 #: Phases reported nested inside another phase (their time is already
 #: included in the parent's total, so shares are computed against the
 #: top-level phases only).
-NESTED_PHASES = frozenset({"node.on_receive"})
+NESTED_PHASES = frozenset({"node.on_receive", "node.on_wake"})
 
 
 class PhaseProfiler:
@@ -109,7 +109,7 @@ class PhaseProfiler:
             )
         lines.append(
             f"rounds executed: {self.rounds}   wall: {self.wall * 1e3:.3f} ms"
-            "   (* nested inside receive)"
+            "   (* protocol compute nested inside its engine phase)"
         )
         return "\n".join(lines)
 

@@ -18,7 +18,8 @@ different bucket edges.
 The registry is deliberately engine-agnostic: :mod:`repro.sim` never
 imports this module, it only calls the small duck-typed surface
 (:meth:`MetricsRegistry.inc`, :meth:`~MetricsRegistry.set_gauge`,
-:meth:`~MetricsRegistry.observe`, :meth:`~MetricsRegistry.sample`).
+:meth:`~MetricsRegistry.observe`, :meth:`~MetricsRegistry.sample`, and
+:meth:`~MetricsRegistry.histogram`, fetched once per receive phase).
 """
 
 from __future__ import annotations
@@ -199,13 +200,24 @@ class MetricsRegistry:
 
     # ------------------------------------------------- one-shot publishers
 
+    # ``inc`` and ``set_gauge`` run on the engine's hot paths, so they
+    # inline the get-or-create and the update: one dict lookup per call.
+
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        self.counter(name).inc(n)
+        c = self.counters.get(name)
+        if c is None:
+            c = self.counters[name] = Counter(name)
+        c.value += n
 
     def set_gauge(self, name: str, value: int | float) -> None:
         """Set gauge ``name`` to ``value``."""
-        self.gauge(name).set(value)
+        g = self.gauges.get(name)
+        if g is None:
+            g = self.gauges[name] = Gauge(name)
+        g.value = value
+        if value > g.high:
+            g.high = value
 
     def observe(self, name: str, value: int | float) -> None:
         """Record ``value`` into histogram ``name`` (default buckets)."""

@@ -67,9 +67,7 @@ class Watchdog:
         self._checked += 1
         inj = net._injector
         if inj is not None and any(
-            inj.crashed(v, net.now)
-            and inj.recovery_round(v, net.now) is not None
-            for v in net._adj
+            v in net._adj for v in inj.recovering(net.now)
         ):
             # A node is down by schedule but will recover: progress cannot
             # be demanded of this round.  Push both marks so the windows

@@ -119,9 +119,10 @@ class SynchronousNetwork:
             :mod:`repro.sim.delays` for the asynchronous extensions.
         trace: optional :class:`EventTrace` to record engine events into.
         metrics: optional :class:`repro.obs.MetricsRegistry` (duck-typed:
-            anything with ``inc``/``set_gauge``/``observe``/``sample``).
-            When attached, the engine publishes message counters, per-op
-            completion-delay and link-wait histograms, and per-round
+            anything with ``inc``/``set_gauge``/``observe``/``sample``
+            and ``histogram``).  When attached, the engine publishes
+            message counters (totals once per send and receive phase),
+            per-op completion-delay and link-wait histograms, and
             in-flight/backlog gauges; when ``None`` (the default) every
             instrumented call site reduces to one ``is not None`` check,
             so the run is unobserved at zero cost.  ``RunStats`` stays
@@ -130,9 +131,9 @@ class SynchronousNetwork:
         profiler: optional :class:`repro.obs.PhaseProfiler` (duck-typed:
             ``clock``/``add``/``tick_round``).  Times the engine phases
             (send drain, delivery, wakeups, fault ticks, and the nested
-            protocol ``on_receive`` compute) per executed round.  Pure
-            observation: a profiled run is event-for-event identical to
-            an unprofiled one.
+            protocol ``on_receive``/``on_wake`` compute) per executed
+            round.  Pure observation: a profiled run is event-for-event
+            identical to an unprofiled one.
         strict: when true, exceeding a per-round send or receive budget
             raises :class:`StrictModeViolation` instead of queuing the
             excess.  Opt-in: contention-by-design protocols (the paper's
@@ -215,6 +216,14 @@ class SynchronousNetwork:
         # (see repro.faults.injector.FaultInjector) so the engine never
         # imports the faults package.
         self._injector = faults.injector() if faults is not None else None
+        #: The injector to ask whether a node is down, or None when no
+        #: crash window is scheduled: the phases then skip the per-node
+        #: query, which would answer "up" for every node anyway.
+        self._crashes = (
+            self._injector
+            if self._injector is not None and self._injector.has_crashes()
+            else None
+        )
         # Strict-mode send accounting: node -> (round, sends so far).
         self._send_budget: dict[int, tuple[int, int]] = {}
         self._unit_delay = (
@@ -521,12 +530,13 @@ class SynchronousNetwork:
                     due = self._wakeups.pop(nxt)
             if not due:
                 return
-        inj = self._injector
+        crashes = self._crashes
+        prof = self.profiler
         for v in sorted(set(due)):
-            if inj is not None and inj.crashed(v, self.now):
+            if crashes is not None and crashes.crashed(v, self.now):
                 # Crashed nodes do not act; their wakeups fire at recovery
                 # (and are dropped for a permanent crash).
-                rec = inj.recovery_round(v, self.now)
+                rec = crashes.recovery_round(v, self.now)
                 if rec is not None:
                     deferred = self._wakeups.get(rec)
                     if deferred is None:
@@ -535,7 +545,12 @@ class SynchronousNetwork:
                     else:
                         deferred.append(v)
                 continue
-            self._nodes[v].on_wake(self._ctx[v])
+            if prof is None:
+                self._nodes[v].on_wake(self._ctx[v])
+            else:
+                t0 = prof.clock()
+                self._nodes[v].on_wake(self._ctx[v])
+                prof.add("node.on_wake", prof.clock() - t0)
 
     def _maybe_jump(self, max_rounds: int) -> None:
         """Skip idle rounds: with long link delays nothing may be
@@ -578,7 +593,7 @@ class SynchronousNetwork:
         if not active:
             return
         t = self.now
-        inj = self._injector
+        crashes = self._crashes
         met = self.metrics
         prof = self.profiler
         trace = self.trace
@@ -595,55 +610,64 @@ class SynchronousNetwork:
         active.clear()
         delivered = 0
         wait_total = 0
-        for v in order:
-            flags[v] = 0
-            heap = rheaps[v]
-            if inj is not None and inj.crashed(v, t):
-                # Crashed receiver: messages wait on their links.
+        link_wait = None  # the msg.link_wait histogram, fetched on first use
+        try:
+            for v in order:
+                flags[v] = 0
+                heap = rheaps[v]
+                if crashes is not None and crashes.crashed(v, t):
+                    # Crashed receiver: messages wait on their links.
+                    if heap:
+                        flags[v] = 1
+                        active.append(v)
+                    continue
+                node = nodes[v]
+                ctx = ctxs[v]
+                links_v = in_links[v]
+                budget = cap
+                while budget and heap:
+                    head = heap[0]
+                    if head[0] > t:
+                        break  # still traversing its link
+                    heappop(heap)
+                    src = head[2]
+                    q = links_v[src]
+                    msg = q.popleft()
+                    if q:
+                        nxt = q[0]
+                        ra = nxt.ready_at
+                        if ra <= t:
+                            ra = t + 1
+                        heappush(heap, (ra, nxt.seq, src))
+                    msg.delivered_at = t
+                    budget -= 1
+                    delivered += 1
+                    wait = t - msg.ready_at
+                    wait_total += wait
+                    if met is not None:
+                        if link_wait is None:
+                            link_wait = met.histogram("msg.link_wait")
+                        link_wait.observe(wait)
+                    if trace is not None:
+                        trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
+                    if prof is None:
+                        node.on_receive(msg, ctx)
+                    else:
+                        t0 = prof.clock()
+                        node.on_receive(msg, ctx)
+                        prof.add("node.on_receive", prof.clock() - t0)
                 if heap:
+                    if strict and heap[0][0] <= t:
+                        raise StrictModeViolation(v, t, "receive", cap)
                     flags[v] = 1
                     active.append(v)
-                continue
-            node = nodes[v]
-            ctx = ctxs[v]
-            links_v = in_links[v]
-            budget = cap
-            while budget and heap:
-                head = heap[0]
-                if head[0] > t:
-                    break  # still traversing its link
-                heappop(heap)
-                src = head[2]
-                q = links_v[src]
-                msg = q.popleft()
-                if q:
-                    nxt = q[0]
-                    ra = nxt.ready_at
-                    if ra <= t:
-                        ra = t + 1
-                    heappush(heap, (ra, nxt.seq, src))
-                msg.delivered_at = t
-                budget -= 1
-                delivered += 1
-                wait = t - msg.ready_at
-                wait_total += wait
-                if met is not None:
-                    met.inc("engine.messages_delivered")
-                    met.inc("engine.link_wait_total", wait)
-                    met.observe("msg.link_wait", wait)
-                if trace is not None:
-                    trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
-                if prof is None:
-                    node.on_receive(msg, ctx)
-                else:
-                    t0 = prof.clock()
-                    node.on_receive(msg, ctx)
-                    prof.add("node.on_receive", prof.clock() - t0)
-            if heap:
-                if strict and heap[0][0] <= t:
-                    raise StrictModeViolation(v, t, "receive", cap)
-                flags[v] = 1
-                active.append(v)
+        finally:
+            # The phase's counters are published once, also when a
+            # callback raises, so the metrics document at an abort holds
+            # every delivery made before it.
+            if met is not None and delivered:
+                met.inc("engine.messages_delivered", delivered)
+                met.inc("engine.link_wait_total", wait_total)
         self._in_flight -= delivered
         self.stats.messages_delivered += delivered
         self.stats.total_link_wait += wait_total
@@ -654,6 +678,7 @@ class SynchronousNetwork:
             return
         t = self.now
         inj = self._injector
+        crashes = self._crashes
         met = self.metrics
         trace = self.trace
         cap = self.send_capacity
@@ -671,11 +696,13 @@ class SynchronousNetwork:
         active.clear()
         sent = 0
         moved = 0
+        dropped = 0
+        duplicated = 0
         max_backlog = stats.max_recv_backlog
         for u in order:
             flags[u] = 0
             box = outboxes[u]
-            if inj is not None and inj.crashed(u, t):
+            if crashes is not None and crashes.crashed(u, t):
                 # Crashed sender: outbox frozen until recovery.
                 flags[u] = 1
                 active.append(u)
@@ -691,9 +718,7 @@ class SynchronousNetwork:
                         # Lost on the wire: the send slot is consumed but
                         # the message never enters the link.
                         self._in_flight -= 1
-                        stats.messages_dropped += 1
-                        if met is not None:
-                            met.inc("engine.messages_dropped")
+                        dropped += 1
                         if trace is not None:
                             trace.record(
                                 "drop", t, src=u, dst=msg.dst, kind=msg.kind,
@@ -710,9 +735,7 @@ class SynchronousNetwork:
                         self._msg_seq += 1
                         clone.sent_at = t
                         self._in_flight += 1
-                        stats.messages_duplicated += 1
-                        if met is not None:
-                            met.inc("engine.messages_duplicated")
+                        duplicated += 1
                 dst = msg.dst
                 links_d = in_links[dst]
                 # Link entry, for the message and then for its injected
@@ -733,9 +756,6 @@ class SynchronousNetwork:
                             recv_flag[dst] = 1
                             recv_active.append(dst)
                     sent += 1
-                    if met is not None:
-                        met.inc("engine.messages_sent")
-                        met.set_gauge("engine.recv_backlog", lq)
                     if trace is not None:
                         trace.record("send", t, src=u, dst=dst, kind=m.kind)
                     if clone is None or m is clone:
@@ -748,7 +768,22 @@ class SynchronousNetwork:
                 active.append(u)
         stats.max_recv_backlog = max_backlog
         stats.messages_sent += sent
+        stats.messages_dropped += dropped
+        stats.messages_duplicated += duplicated
         self._outbox_pending -= moved
+        if met is not None:
+            # Nothing in this phase calls back into a protocol, so the
+            # phase totals are published once, at its end.
+            if sent:
+                met.inc("engine.messages_sent", sent)
+                # The high-water mark takes the run's largest link queue,
+                # the value the queue length of the last link entry (lq).
+                met.set_gauge("engine.recv_backlog", max_backlog)
+                met.set_gauge("engine.recv_backlog", lq)
+            if dropped:
+                met.inc("engine.messages_dropped", dropped)
+            if duplicated:
+                met.inc("engine.messages_duplicated", duplicated)
 
 
 def run_protocol(

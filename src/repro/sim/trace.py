@@ -9,13 +9,12 @@ in any round".
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
-@dataclass(slots=True, frozen=True)
-class TraceEvent:
-    """One engine event.
+class TraceEvent(NamedTuple):
+    """One engine event (an immutable record; a traced run makes one per
+    send, delivery and enqueue, so it is a plain tuple underneath).
 
     Attributes:
         kind: ``"enqueue"`` (protocol called send), ``"send"`` (message
@@ -32,6 +31,9 @@ class TraceEvent:
     data: dict[str, Any]
 
 
+_new_event = tuple.__new__
+
+
 class EventTrace:
     """An append-only list of :class:`TraceEvent` with query helpers."""
 
@@ -44,7 +46,8 @@ class EventTrace:
         ``event`` is the engine event type; ``data`` may carry a ``kind``
         key for the *message* kind without colliding.
         """
-        self.events.append(TraceEvent(event, round_, data))
+        # tuple.__new__ skips the NamedTuple's Python-level constructor.
+        self.events.append(_new_event(TraceEvent, (event, round_, data)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -60,7 +63,7 @@ class EventTrace:
         """A new trace holding the events of rounds ``[start, end]``.
 
         ``end_round=None`` means "through the last recorded round".
-        Event objects are shared (they are frozen), order is preserved.
+        Event objects are shared (they are immutable), order is preserved.
         Violation reports and chaos reproducers embed these windows.
         """
         out = EventTrace()

@@ -187,6 +187,20 @@ class TestFaultInjector:
         assert inj.recovery_round(3, 6) == 9
         assert inj.recovery_round(3, 25) is None
 
+    def test_recovering_matches_per_node_query(self):
+        """One pass over the crash windows gives the same nodes as asking
+        crashed() and recovery_round() of every node."""
+        inj = FaultPlan(crashes=(
+            NodeCrash(3, 5, 9), NodeCrash(3, 20, None),
+            NodeCrash(1, 7, 12), NodeCrash(4, 0, None), NodeCrash(4, 2, 6),
+        )).injector()
+        for r in range(30):
+            scan = {
+                v for v in range(6)
+                if inj.crashed(v, r) and inj.recovery_round(v, r) is not None
+            }
+            assert set(inj.recovering(r)) == scan, r
+
     def test_tick_emits_boundaries_with_scheduled_round(self):
         inj = FaultPlan(crashes=(NodeCrash(1, 2, 6),)).injector()
         stats, trace = RunStats(), EventTrace()
@@ -289,6 +303,34 @@ class TestReliableWrapper:
         assert exc.value.attempts > policy.max_retries
         assert exc.value.dst == 0
         assert "gave up" in str(exc.value)
+
+    def test_fault_free_exhaustion_names_receiver_contention(self):
+        """No fault injected: the ack was late because the hub's queue
+        outlasted the retry schedule, and the error says so."""
+        policy = RetryPolicy(timeout=2, max_retries=3)
+        with pytest.raises(RetryBudgetExceeded) as empty:
+            run_central_counting_ft(star_graph(64), range(64), FaultPlan(), policy=policy)
+        with pytest.raises(RetryBudgetExceeded) as no_plan:
+            run_central_counting(
+                star_graph(64), range(64), node_wrapper=wrap_reliable(policy)
+            )
+        for exc in (empty.value, no_plan.value):
+            text = str(exc)
+            assert "no fault was injected" in text
+            assert "did not return within the retry schedule" in text
+            assert "receiver contention" in text
+            assert "starved" not in text
+        assert str(empty.value) == str(no_plan.value)
+
+    def test_injected_fault_exhaustion_blames_the_plan(self):
+        plan = FaultPlan(crashes=(NodeCrash(0, 0, None),))
+        with pytest.raises(RetryBudgetExceeded) as exc:
+            run_central_counting_ft(
+                star_graph(4), range(1, 4), plan,
+                policy=RetryPolicy(timeout=2, max_retries=3), max_rounds=10_000,
+            )
+        assert str(exc.value).endswith("— the fault plan starved the link")
+        assert exc.value.plan is plan
 
     def test_ft_run_is_deterministic(self):
         plan = FaultPlan(seed=13, drop_rate=0.2, duplicate_rate=0.1)

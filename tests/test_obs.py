@@ -272,6 +272,32 @@ class TestProfiler:
         assert prof.wall > 0.0
         assert prof.hottest() in names
 
+    def test_on_wake_billed_to_protocol_inside_wake(self):
+        """Protocol ``on_wake`` compute is its own row, nested in ``wake``,
+        with one call per callback the engine made."""
+        from repro.sim import Node, SynchronousNetwork
+
+        calls = []
+
+        class Sleeper(Node):
+            def on_start(self, ctx):
+                ctx.schedule_wakeup(3 + self.node_id)
+
+            def on_wake(self, ctx):
+                calls.append(ctx.now)
+
+        prof = PhaseProfiler()
+        net = SynchronousNetwork(
+            path_graph(4), {v: Sleeper(v) for v in range(4)}, profiler=prof
+        )
+        net.run()
+        rows = {r["phase"]: r for r in prof.phases()}
+        assert rows["node.on_wake"]["nested"] is True
+        assert rows["node.on_wake"]["calls"] == len(calls) == 4
+        assert rows["node.on_wake"]["total_s"] <= rows["wake"]["total_s"]
+        top = sum(r["total_s"] for r in rows.values() if not r["nested"])
+        assert rows["wake"]["share"] == pytest.approx(rows["wake"]["total_s"] / top)
+
     def test_nested_share_accounting(self):
         prof = PhaseProfiler()
         prof.add("send", 0.3)

@@ -36,7 +36,10 @@ from repro.faults import (
     NodeCrash,
     run_arrow_ft,
     run_central_counting_ft,
+    run_flood_counting_ft,
 )
+from repro.faults.reliable import ReliableNode
+from repro.resilience import InvariantMonitor, MonitorSet
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
@@ -259,6 +262,56 @@ class TestChaosProperties:
         res = run_central_counting_ft(g, req, plan, max_rounds=500_000)
         verify_counting(req, res.counts)
         assert sorted(res.counts.values()) == list(range(1, len(req) + 1))
+
+
+class _TimerCheck(InvariantMonitor):
+    """End-of-round check of every reliable node's retransmit timer.
+
+    A node with pending envelopes must keep its heap's earliest live entry
+    at the minimum pending due, and hold an engine wakeup no later than
+    ``max(min due, now + 1)``.  "No later" rather than "at": an ack can
+    raise the minimum after the wakeup was armed, and the engine cannot
+    cancel a wakeup (the early one fires and re-arms).  A node that is
+    down this round is exempt from the wakeup check, since the engine
+    defers its wakeups to the recovery round.
+    """
+
+    def __init__(self) -> None:
+        self.rounds_with_pending = 0
+
+    def on_round(self, net) -> None:
+        first_wakeup: dict[int, int] = {}
+        for r, due in net._wakeups.items():
+            for v in due:
+                first_wakeup[v] = min(first_wakeup.get(v, r), r)
+        inj = net._injector
+        for v in net.node_ids:
+            node = net.node(v)
+            assert isinstance(node, ReliableNode)
+            if not node.pending:
+                continue
+            self.rounds_with_pending += 1
+            low = min(p.due for p in node.pending.values())
+            assert node._next_due() == low
+            if inj is not None and inj.crashed(v, net.now):
+                continue
+            assert first_wakeup[v] <= max(low, net.now + 1), (v, net.now)
+
+
+class TestReliableTimerHeap:
+    @given(data=graphs_requests_and_plans(max_n=8), flood=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_timer_heap_tracks_earliest_due(self, data, flood):
+        g, req, plan = data
+        check = _TimerCheck()
+        runner = run_flood_counting_ft if flood else run_central_counting_ft
+        res = runner(
+            g, req, plan, max_rounds=500_000,
+            monitors=MonitorSet(invariants=(check,)),
+        )
+        verify_counting(req, res.counts)
+        if res.stats.messages_sent:
+            assert check.rounds_with_pending > 0
 
 
 class TestTspProperties:
