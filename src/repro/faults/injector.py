@@ -146,10 +146,11 @@ class FaultInjector:
         forced deliveries.
         """
         plan = self.plan
-        edge = (min(msg.src, msg.dst), max(msg.src, msg.dst))
-        for o in self._outages_by_edge.get(edge, ()):
-            if o.down(round_):
-                return OUTAGE
+        if self._outages_by_edge:
+            edge = (min(msg.src, msg.dst), max(msg.src, msg.dst))
+            for o in self._outages_by_edge.get(edge, ()):
+                if o.down(round_):
+                    return OUTAGE
         if plan.drop_rate > 0.0:
             lossy = self._rng_drop.random() < plan.drop_rate
             key = (msg.src, msg.dst)

@@ -331,10 +331,13 @@ class ReliableNode(Node):
             if p is not None and p.due == due:
                 due_seqs.append(seq)
         due_seqs.sort()
+        plan = self.plan
+        # Only outage and crash windows can block a hop.
+        windows = plan is not None and (plan.outages or plan.crashes)
         for seq in due_seqs:
             p = pending[seq]
-            if self.plan is not None:
-                clear = self.plan.blocked_until(self.node_id, p.dst, t)
+            if windows:
+                clear = plan.blocked_until(self.node_id, p.dst, t)
                 if clear is not None and clear > t:
                     # Scheduled outage / crash window: retransmitting now
                     # would feed the message into a link that is known to
