@@ -4,9 +4,9 @@ A :class:`PhaseProfiler` is attached to a network
 (``SynchronousNetwork(..., profiler=prof)`` or a runner's ``profiler=``
 kwarg).  The engine then times each phase of every executed round — send
 drain, link advance + delivery, node wakeups, fault-injector ticks, and
-the protocol's own ``on_receive`` and ``on_wake`` compute (reported nested
-inside the receive and wake phases) — and the profiler aggregates totals, call counts, and
-maxima per phase.  Like the metrics registry, the hook is zero-cost when
+the protocol's own ``on_receive`` and ``on_wake`` compute (reported
+nested inside the receive and wake phases) — and the profiler aggregates
+totals, call counts, and maxima per phase.  Like the metrics registry, the hook is zero-cost when
 absent: the engine checks one local against ``None`` per phase.
 
 The profiler observes wall time only; it never feeds anything back into
