@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.adding.combining import AdditionResult
-from repro.counting.central import _routing
+from repro.counting.central import _down_path
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork
 from repro.topology.base import Graph
 
@@ -14,16 +14,19 @@ class _CentralAddNode(Node):
     """Requests route to the root; the root applies increments in arrival
     order and returns the prior accumulator value."""
 
-    __slots__ = ("next_hop", "delta", "is_root", "accumulator", "arrival_order", "_down_paths")
+    __slots__ = ("next_hop", "delta", "is_root", "accumulator", "arrival_order", "routes")
 
-    def __init__(self, node_id: int, next_hop: int, delta: int | None, is_root: bool) -> None:
+    def __init__(
+        self, node_id: int, routes: tuple[int, ...], delta: int | None, is_root: bool
+    ) -> None:
         super().__init__(node_id)
-        self.next_hop = next_hop
+        self.next_hop = routes[node_id]
         self.delta = delta
         self.is_root = is_root
         self.accumulator = 0
         self.arrival_order: list[int] = []
-        self._down_paths: dict[int, list[int]] = {}
+        #: the shared next-hop table toward the root (read-only).
+        self.routes = routes
 
     def _serve(self, origin: int, delta: int, ctx: NodeContext) -> None:
         prior = self.accumulator
@@ -32,7 +35,7 @@ class _CentralAddNode(Node):
         if origin == self.node_id:
             ctx.complete(origin, result=prior)
         else:
-            path = self._down_paths[origin]
+            path = _down_path(self.routes, origin)
             ctx.send(path[0], "reply", payload=(origin, path[1:], prior))
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -72,14 +75,11 @@ def run_central_addition(
     for v in increments:
         if not (0 <= v < graph.n):
             raise ValueError(f"vertex {v} out of range")
-    next_hop, down_paths = _routing(graph, root)
+    routes = graph.next_hops(root)
     nodes = {
-        v: _CentralAddNode(
-            v, next_hop=next_hop[v], delta=increments.get(v), is_root=(v == root)
-        )
+        v: _CentralAddNode(v, routes, delta=increments.get(v), is_root=(v == root))
         for v in graph.vertices()
     }
-    nodes[root]._down_paths = down_paths
     net = SynchronousNetwork(
         graph, nodes, send_capacity=1, recv_capacity=1, delay_model=delay_model
     )

@@ -22,7 +22,6 @@ import numpy as np
 from repro.arrow.protocol import ArrowNode, op_of
 from repro.sim import NodeContext, RunStats, SynchronousNetwork
 from repro.topology.spanning import SpanningTree
-from repro.tree import RootedTree
 
 
 class _TimedArrowNode(ArrowNode):
@@ -111,11 +110,7 @@ def run_arrow_longlived(
     if capacity is None:
         capacity = max(1, spanning.max_degree())
 
-    if tail == tree.root:
-        parent_toward_tail = tree.parent
-    else:
-        rerooted = RootedTree.from_edges(tree.n, tree.edges(), root=tail)
-        parent_toward_tail = rerooted.parent
+    parent_toward_tail = spanning.as_graph().next_hops(tail)
 
     for v, t in issue_times.items():
         if not (0 <= v < tree.n):

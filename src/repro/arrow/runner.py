@@ -134,16 +134,10 @@ def run_arrow(
     if capacity is None:
         capacity = max(1, spanning.max_degree())
 
-    # Arrows point toward the tail: on the tree rooted at the *tail*, each
-    # node's arrow is its parent.  Re-rooting at the tail gives exactly
-    # that orientation.
-    if tail == tree.root:
-        parent_toward_tail = tree.parent
-    else:
-        from repro.tree import RootedTree
-
-        rerooted = RootedTree.from_edges(tree.n, tree.edges(), root=tail)
-        parent_toward_tail = rerooted.parent
+    # Arrows point toward the tail: each node's arrow is its next hop
+    # toward the tail in the tree (its parent when the tree is re-rooted
+    # at the tail), shared by every run on this spanning tree.
+    parent_toward_tail = spanning.as_graph().next_hops(tail)
 
     req_set = set(req)
     nodes = {

@@ -7,8 +7,10 @@ serialises: on the star this is exactly the ``Theta(n^2)`` behaviour the
 paper's conclusion discusses, and on the list it realises Theorem 3.6's
 ``Omega(n^2)``.
 
-Routing tables (next hop toward the root, and the explicit return path in
-each request) are precomputed — initialization is free per Section 2.2.
+Routing is the graph's shared next-hop table toward the root, computed
+once per graph — initialization is free per Section 2.2.  The root
+source-routes each reply along the reverse of that chain, built when it
+serves the request.
 The same machinery with the root answering "who came before you" instead
 of a rank gives the central *queuing* baseline used in the star-graph
 experiment.
@@ -16,7 +18,7 @@ experiment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.problem import CountingResult, QueuingResult
 from repro.core.verify import verify_counting, verify_queuing
@@ -29,7 +31,10 @@ from repro.sim import (
     SynchronousNetwork,
 )
 from repro.topology.base import Graph
-from repro.topology.properties import bfs_distances
+
+# Re-exported: instrumentation and tests reach the BFS that builds the
+# routing table (on a graph's first run) as ``central.bfs_distances``.
+from repro.topology.properties import bfs_distances  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -52,21 +57,26 @@ class _CentralNode(Node):
         "counter",
         "last_op",
         "mode",
-        "_down_paths",
+        "routes",
     )
 
     def __init__(
-        self, node_id: int, next_hop: int, requesting: bool, is_root: bool, mode: str
+        self,
+        node_id: int,
+        routes: tuple[int, ...],
+        requesting: bool,
+        is_root: bool,
+        mode: str,
     ) -> None:
         super().__init__(node_id)
-        self.next_hop = next_hop
+        self.next_hop = routes[node_id]
         self.requesting = requesting
         self.is_root = is_root
         self.counter = 0
         self.last_op: Hashable = ("init", node_id)
         self.mode = mode
-        #: root only: origin -> path root->...->origin (excluding the root).
-        self._down_paths: dict[int, list[int]] = {}
+        #: the shared next-hop table toward the root (read-only).
+        self.routes = routes
 
     def _serve(self, origin: int, path: list[int], ctx: NodeContext) -> None:
         """Root-side: assign the next value and send (or record) the reply."""
@@ -93,12 +103,9 @@ class _CentralNode(Node):
         if msg.kind == "req":
             origin = msg.payload
             if self.is_root:
-                # Return path: reverse of the request's route.  The route
-                # is recoverable because requests follow next_hop pointers;
-                # the engine-level trick of carrying the path would also
-                # work, but the reverse route is simply the BFS-tree path
-                # from the root to the origin, precomputed below.
-                self._serve(origin, self._down_path(origin), ctx)
+                # Return path: reverse of the request's route, which
+                # followed the next-hop chain from the origin.
+                self._serve(origin, _down_path(self.routes, origin), ctx)
             else:
                 ctx.send(self.next_hop, "req", payload=origin)
         elif msg.kind == "reply":
@@ -110,32 +117,20 @@ class _CentralNode(Node):
         else:  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
 
-    def _down_path(self, origin: int) -> list[int]:
-        return self._down_paths[origin]
 
+def _down_path(routes: Sequence[int], origin: int) -> list[int]:
+    """The path root -> ... -> ``origin`` (root excluded) of a next-hop table.
 
-def _routing(graph: Graph, root: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Next hops toward ``root`` and full root->origin paths, via BFS."""
-    dist = bfs_distances(graph, root)
-    if (dist < 0).any():
-        raise ValueError("graph is disconnected")
-    next_hop = list(range(graph.n))
-    for v in graph.vertices():
-        if v == root:
-            continue
-        for u in graph.adj[v]:
-            if dist[u] == dist[v] - 1:
-                next_hop[v] = u
-                break
-    down_paths: dict[int, list[int]] = {}
-    for v in graph.vertices():
-        path = []
-        x = v
-        while x != root:
-            path.append(x)
-            x = next_hop[x]
-        down_paths[v] = path[::-1]
-    return next_hop, down_paths
+    ``routes`` maps every vertex to its next hop toward the root (the
+    root maps to itself); the result reverses the chain from ``origin``.
+    """
+    path = []
+    x = origin
+    while routes[x] != x:
+        path.append(x)
+        x = routes[x]
+    path.reverse()
+    return path
 
 
 def _run_central(
@@ -153,20 +148,18 @@ def _run_central(
     faults: "FaultPlan | None" = None,
     monitors: Any | None = None,
 ) -> tuple[dict[int, Hashable], dict[int, int], SynchronousNetwork]:
-    req = sorted(set(requests))
-    next_hop, down_paths = _routing(graph, root)
-    req_set = set(req)
+    routes = graph.next_hops(root)
+    req_set = set(requests)
     nodes = {
         v: _CentralNode(
             v,
-            next_hop=next_hop[v],
+            routes,
             requesting=(v in req_set),
             is_root=(v == root),
             mode=mode,
         )
         for v in graph.vertices()
     }
-    nodes[root]._down_paths = down_paths
     sim_nodes: dict[int, Node] = (
         {v: node_wrapper(n) for v, n in nodes.items()} if node_wrapper else nodes
     )

@@ -20,11 +20,14 @@ For the distributed experiments the balancers are *embedded* on the
 communication graph (balancer ``b`` lives on node ``b mod n``) and tokens
 travel between hosts as routed messages subject to the model's one
 message per round restriction; a requester's delay is the round its
-assigned value arrives back.
+assigned value arrives back.  The wiring of each width and the graph's
+next-hop tables are built once and shared by every run; only the
+balancer toggles and output counters are per run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -39,7 +42,6 @@ from repro.sim import (
     SynchronousNetwork,
 )
 from repro.topology.base import Graph
-from repro.topology.properties import bfs_distances
 
 # A token's next destination: ("bal", balancer id) or ("wire", output index).
 Entity = tuple[str, int]
@@ -274,6 +276,37 @@ def output_counts_have_step_property(out_counts: list[int]) -> bool:
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Wiring:
+    """The immutable shape of a counting network, shared by every run.
+
+    Attributes:
+        width: number of input/output wires.
+        outs: per balancer id, its two downstream entities (``outs[b][0]``
+            is taken first).
+        entries: for each input wire, the first entity a token visits.
+    """
+
+    width: int
+    outs: tuple[tuple[Entity, Entity], ...]
+    entries: tuple[Entity, ...]
+
+    @classmethod
+    def of(cls, net: BitonicNetwork) -> "_Wiring":
+        outs = []
+        for b in net.balancers:
+            top, bottom = b.out
+            assert top is not None and bottom is not None, "balancer wired incompletely"
+            outs.append((top, bottom))
+        return cls(net.width, tuple(outs), net.entries)
+
+
+@functools.cache
+def _bitonic_wiring(width: int) -> _Wiring:
+    """``Bitonic[width]``'s wiring, built once per width."""
+    return _Wiring.of(bitonic_network(width))
+
+
 class _CNetNode(Node):
     """A node hosting a share of the network's balancers and output wires.
 
@@ -295,7 +328,7 @@ class _CNetNode(Node):
         return entity[1] % self.shared.n
 
     def _forward(self, origin: int, entity: tuple, dest: int, ctx: NodeContext) -> None:
-        nxt = self.shared.next_hop_toward(dest, self.node_id)
+        nxt = self.shared.graph.next_hops(dest)[self.node_id]
         ctx.send(nxt, "cnet", payload=(origin, entity))
 
     def _process_local(self, origin: int, entity: tuple, ctx: NodeContext) -> None:
@@ -304,14 +337,14 @@ class _CNetNode(Node):
         while True:
             kind = entity[0]
             if kind == "bal":
-                entity = shared.net.balancers[entity[1]].step()
+                entity = shared.step(entity[1])
                 dest = self._host(entity)
                 if dest != self.node_id:
                     self._forward(origin, entity, dest, ctx)
                     return
             elif kind == "wire":
                 j = entity[1]
-                value = j + 1 + shared.net.width * shared.out_counts[j]
+                value = j + 1 + shared.wiring.width * shared.out_counts[j]
                 shared.out_counts[j] += 1
                 if origin == self.node_id:
                     ctx.complete(origin, result=value)
@@ -326,7 +359,8 @@ class _CNetNode(Node):
     def on_start(self, ctx: NodeContext) -> None:
         if not self.requesting:
             return
-        entity = self.shared.net.entries[self.node_id % self.shared.net.width]
+        wiring = self.shared.wiring
+        entity = wiring.entries[self.node_id % wiring.width]
         dest = self._host(entity)
         if dest == self.node_id:
             self._process_local(self.node_id, entity, ctx)
@@ -350,38 +384,67 @@ class _CNetNode(Node):
 
 
 class _SharedState:
-    """Read-only routing tables plus the (mutable) embedded network state.
+    """One run's embedded network state over shared, read-only structure.
 
-    Precomputed during the free initialization step; the balancer toggles
-    and output counters are the distributed state, each touched only by
-    its host node.
+    The wiring and the graph's next-hop tables are computed once and
+    shared by every run (initialization is free); the balancer toggles
+    and output counters are this run's distributed state, each touched
+    only by its host node.
     """
 
-    def __init__(self, graph: Graph, net: BitonicNetwork) -> None:
-        self.net = net
+    def __init__(self, graph: Graph, wiring: _Wiring) -> None:
+        self.wiring = wiring
         self.n = graph.n
         self.graph = graph
-        self.out_counts = [0] * net.width
-        self._toward: dict[int, list[int]] = {}
+        self.toggles = [0] * len(wiring.outs)
+        self.out_counts = [0] * wiring.width
 
-    def next_hop_toward(self, dest: int, here: int) -> int:
-        par = self._toward.get(dest)
-        if par is None:
-            par = self._bfs_parents(dest)
-            self._toward[dest] = par
-        return par[here]
+    def step(self, bal_id: int) -> Entity:
+        """Pass one token through balancer ``bal_id``; flips its toggle."""
+        side = self.toggles[bal_id]
+        self.toggles[bal_id] = side ^ 1
+        return self.wiring.outs[bal_id][side]
 
-    def _bfs_parents(self, dest: int) -> list[int]:
-        dist = bfs_distances(self.graph, dest)
-        par = list(range(self.n))
-        for v in self.graph.vertices():
-            if v == dest:
-                continue
-            for u in self.graph.adj[v]:
-                if dist[u] == dist[v] - 1:
-                    par[v] = u
-                    break
-        return par
+
+def _embedded_network(
+    graph: Graph, requests: Iterable[int], wiring: _Wiring, **engine: Any
+) -> tuple[tuple[int, ...], SynchronousNetwork]:
+    """The sorted requests and a ready-to-run network embedding ``wiring``.
+
+    ``engine`` is passed to :class:`SynchronousNetwork` (observers,
+    delay model, strict mode).
+    """
+    shared = _SharedState(graph, wiring)
+    req = tuple(sorted(set(requests)))
+    req_set = set(req)
+    nodes = {
+        v: _CNetNode(v, requesting=(v in req_set), shared=shared)
+        for v in graph.vertices()
+    }
+    return req, SynchronousNetwork(graph, nodes, send_capacity=1, recv_capacity=1, **engine)
+
+
+def _run_embedded(
+    graph: Graph, requests: Iterable[int], wiring: _Wiring, algorithm: str,
+    max_rounds: int, **engine: Any,
+) -> CountingResult:
+    """Run counting through an embedded network; output verified."""
+    req, net = _embedded_network(graph, requests, wiring, **engine)
+    net.run(max_rounds=max_rounds)
+    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
+    verify_counting(req, counts)
+    return CountingResult(
+        algorithm=algorithm,
+        requests=req,
+        counts=counts,
+        delays=net.delays.delay_by_op(),
+        stats=net.stats,
+    )
+
+
+def _default_width(n: int) -> int:
+    """The largest power of two ``<= n`` (the default network width)."""
+    return 1 << max(0, n.bit_length() - 1)
 
 
 def run_counting_network(
@@ -406,35 +469,10 @@ def run_counting_network(
             ``<= n``).
         max_rounds: engine safety limit.
     """
-    n = graph.n
     if width is None:
-        width = 1 << max(0, n.bit_length() - 1)
-    net_struct = bitonic_network(width)
-    shared = _SharedState(graph, net_struct)
-    req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nodes = {
-        v: _CNetNode(v, requesting=(v in req_set), shared=shared)
-        for v in graph.vertices()
-    }
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
+        width = _default_width(graph.n)
+    return _run_embedded(
+        graph, requests, _bitonic_wiring(width), f"cnet(w={width})", max_rounds,
+        delay_model=delay_model, trace=trace, metrics=metrics, profiler=profiler,
         strict=strict,
-    )
-    net.run(max_rounds=max_rounds)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=f"cnet(w={width})",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
     )

@@ -19,6 +19,7 @@ with the other wiring.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
@@ -26,9 +27,11 @@ from repro.counting.network import (
     Balancer,
     BitonicNetwork,
     Entity,
-    _CNetNode,
-    _SharedState,
+    _default_width,
+    _run_embedded,
+    _Wiring,
 )
+from repro.sim import DelayModel, EventTrace
 from repro.topology.base import Graph
 
 
@@ -118,6 +121,12 @@ def periodic_network(width: int) -> BitonicNetwork:
     )
 
 
+@functools.cache
+def _periodic_wiring(width: int) -> _Wiring:
+    """``Periodic[width]``'s wiring, built once per width."""
+    return _Wiring.of(periodic_network(width))
+
+
 def run_periodic_counting(
     graph: Graph,
     requests: Iterable[int],
@@ -135,38 +144,10 @@ def run_periodic_counting(
     Same embedding and delay accounting as
     :func:`repro.counting.network.run_counting_network`.
     """
-    from repro.core.verify import verify_counting
-    from repro.sim import SynchronousNetwork
-
-    n = graph.n
     if width is None:
-        width = 1 << max(0, n.bit_length() - 1)
-    net_struct = periodic_network(width)
-    shared = _SharedState(graph, net_struct)
-    req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nodes = {
-        v: _CNetNode(v, requesting=(v in req_set), shared=shared)
-        for v in graph.vertices()
-    }
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
+        width = _default_width(graph.n)
+    return _run_embedded(
+        graph, requests, _periodic_wiring(width), f"periodic(w={width})", max_rounds,
+        delay_model=delay_model, trace=trace, metrics=metrics, profiler=profiler,
         strict=strict,
-    )
-    net.run(max_rounds=max_rounds)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=f"periodic(w={width})",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
     )

@@ -48,6 +48,7 @@ from repro.sim.message import Message
 from repro.sim.metrics import DelayRecorder
 from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
+from repro.topology.base import Graph
 
 @dataclass(slots=True)
 class RunStats:
@@ -179,7 +180,14 @@ class SynchronousNetwork:
             raise CapacityError(f"send_capacity must be >= 1, got {send_capacity}")
         if recv_capacity < 1:
             raise CapacityError(f"recv_capacity must be >= 1, got {recv_capacity}")
-        self._adj = _as_adjacency(graph)
+        if isinstance(graph, Graph):
+            # Memoised on the graph and shared by every run on it; the
+            # engine only reads them.
+            self._adj = graph.sorted_adjacency()
+            self._nbr_sets = graph.neighbor_sets()
+        else:
+            self._adj = _as_adjacency(graph)
+            self._nbr_sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         n = len(self._adj)
         # Keys are unique, so n ids inside [0, n) are exactly 0..n-1.
         bad = [v for v in self._adj if not (isinstance(v, int) and 0 <= v < n)]
@@ -196,7 +204,6 @@ class SynchronousNetwork:
                 f"Node objects for vertices not in the graph: {sorted(extra)[:5]}"
             )
         self._nodes: list[Node] = [nodes[v] for v in range(n)]
-        self._nbr_sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         self.send_capacity = send_capacity
         self.recv_capacity = recv_capacity
         self.delay_model = delay_model if delay_model is not None else ConstantDelay(1)

@@ -14,7 +14,7 @@ graph it spans, with validation that every tree edge is a graph edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.topology.base import Graph, TopologyError
@@ -35,6 +35,8 @@ class SpanningTree:
     graph: Graph
     tree: RootedTree
     label: str = "spanning"
+    #: ``as_graph()``, built on first use and shared by every run on the tree.
+    _tree_graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_spanning_tree(self.graph, self.tree)
@@ -54,8 +56,16 @@ class SpanningTree:
         return self.tree.max_degree()
 
     def as_graph(self) -> Graph:
-        """The tree itself as a :class:`Graph` (for running protocols on it)."""
-        return Graph.from_edges(self.n, self.tree.edges(), name=f"tree[{self.label}]")
+        """The tree itself as a :class:`Graph` (for running protocols on it).
+
+        Built once per spanning tree, so the graph's memoised structure
+        is shared by every execution on the tree.
+        """
+        g = self._tree_graph
+        if g is None:
+            g = Graph.from_edges(self.n, self.tree.edges(), name=f"tree[{self.label}]")
+            object.__setattr__(self, "_tree_graph", g)  # frozen: set once
+        return g
 
 
 def validate_spanning_tree(graph: Graph, tree: RootedTree) -> None:
@@ -73,22 +83,15 @@ def validate_spanning_tree(graph: Graph, tree: RootedTree) -> None:
 
 
 def bfs_spanning_tree(graph: Graph, root: int = 0) -> SpanningTree:
-    """Breadth-first spanning tree rooted at ``root`` (shortest-path tree)."""
-    from repro.topology.properties import bfs_distances  # local: avoid cycle
+    """Breadth-first spanning tree rooted at ``root`` (shortest-path tree).
 
-    dist = bfs_distances(graph, root)
-    if (dist < 0).any():
-        raise TopologyError("graph is disconnected; no spanning tree")
-    par = list(range(graph.n))
-    # Assign each vertex the smallest-id neighbor one level closer.
-    for v in range(graph.n):
-        if v == root:
-            continue
-        for u in graph.adj[v]:
-            if dist[u] == dist[v] - 1:
-                par[v] = u
-                break
-    tree = RootedTree(par, root=root)
+    Each vertex's parent is its smallest-id neighbour one level closer to
+    the root: the graph's shared next-hop table toward ``root``.
+
+    Raises:
+        TopologyError: if the graph is disconnected.
+    """
+    tree = RootedTree(graph.next_hops(root), root=root)
     return SpanningTree(graph, tree, label=f"bfs(root={root})")
 
 

@@ -10,6 +10,8 @@ generated trees, graphs, and request sets:
 * the NN tour is sandwiched between the exact optimum and the
   Rosenkrantz envelope, and on lists obeys Lemma 4.3/4.4;
 * ``log*``/``tow`` satisfy their defining identities;
+* a graph's shared next-hop table toward any destination equals a plain
+  BFS-parent reference, and is built once;
 * under any randomly generated *eventually-delivering* fault plan
   (drops, duplicates, outages, finite crashes), the reliable-delivery
   wrapper keeps arrow queuing and central counting correct: the run
@@ -18,6 +20,7 @@ generated trees, graphs, and request sets:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,8 +43,8 @@ from repro.faults import (
 )
 from repro.faults.reliable import ReliableNode
 from repro.resilience import InvariantMonitor, MonitorSet
-from repro.topology.base import Graph
-from repro.topology.spanning import SpanningTree
+from repro.topology.base import Graph, TopologyError
+from repro.topology.spanning import SpanningTree, bfs_spanning_tree
 from repro.tree import RootedTree
 from repro.tsp import (
     held_karp_optimal,
@@ -233,6 +236,45 @@ class TestCountingProperties:
         req = rng.sample(range(n), rng.randint(1, n))
         r = run_counting_network(g, req)
         verify_counting(req, r.counts)
+
+
+class TestSharedNextHops:
+    """``Graph.next_hops`` against a plain BFS-parent reference."""
+
+    @staticmethod
+    def reference(g: Graph, dest: int) -> list[int]:
+        dist = {dest: 0}
+        frontier = [dest]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return [
+            v if v == dest else min(u for u in g.adj[v] if dist[u] == dist[v] - 1)
+            for v in range(g.n)
+        ]
+
+    @given(g=connected_graphs(max_n=16))
+    @settings(max_examples=60, deadline=None)
+    def test_every_destination_matches_reference(self, g):
+        for dest in g.vertices():
+            table = g.next_hops(dest)
+            assert list(table) == self.reference(g, dest)
+            assert g.next_hops(dest) is table
+
+    @given(g=connected_graphs(max_n=10), root_seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_disconnected_graph_raises_what_callers_raise(self, g, root_seed):
+        split = Graph.from_edges(g.n + 1, g.edges())  # vertex g.n is isolated
+        root = root_seed % split.n
+        with pytest.raises(ValueError, match="graph is disconnected"):
+            run_central_counting(split, [0], root=root)
+        with pytest.raises(TopologyError, match="graph is disconnected"):
+            bfs_spanning_tree(split, root)
 
 
 class TestChaosProperties:
